@@ -47,10 +47,10 @@ func BenchmarkSurrogate(cfg Config) (*Report, []obs.BenchEntry, error) {
 	surSec := time.Since(start).Seconds()
 
 	// The multigrid point of the trajectory: the same exact-only flow with
-	// the mg preconditioner forced on. At the paper's 64 grid the two run
-	// neck-and-neck (the hierarchy only pulls ahead at finer grids — see
-	// BENCH_SOLVER.json for the scaling curve); the entry pins that the mg
-	// path stays SA-viable and converges to an equivalent placement.
+	// the mg preconditioner forced on at the paper's 64 grid, where "auto"
+	// keeps Jacobi for byte-compatibility (BENCH_SOLVER.json has the scaling
+	// curve across grids); the entry pins that the mg path stays SA-viable
+	// and converges to an equivalent placement.
 	mgOpt := opt
 	mgOpt.Precond = "mg"
 	start = time.Now()

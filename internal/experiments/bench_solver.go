@@ -33,8 +33,9 @@ const solverWarmSolves = 3
 // first solve is still reported per preconditioner (`*_cold_ms`) so the
 // amortization claim is checkable. The scale-free headline entries are the mg
 // iteration growth from the smallest to the largest grid (near-constant is
-// the point of the hierarchy) and the mg-vs-ssor per-solve speedup at the
-// largest grid. It also measures the batched multi-RHS path: SolveBatch over
+// the point of the hierarchy), the mg-vs-ssor per-solve speedup at the
+// largest grid, and the hierarchy's operator complexity at every grid
+// (`mg_op_complexity`, stored entries over all levels per fine entry). It also measures the batched multi-RHS path: SolveBatch over
 // solverBatchB power scenarios of one placement (one assembly, one hierarchy)
 // against the same scenarios solved by independent fresh models, which is how
 // independent service jobs would run them.
@@ -93,6 +94,12 @@ func BenchmarkSolverScaling(grids []int) (*Report, []obs.BenchEntry, error) {
 			row.Extra[pre+"_iters"] = meanIters
 			row.Extra[pre+"_ms"] = ms
 			row.Extra[pre+"_cold_ms"] = coldMS
+			if pre == "mg" {
+				oc := model.MGOperatorComplexity()
+				entries = append(entries, obs.BenchEntry{
+					Name: fmt.Sprintf("tap25d/solver/g%d/mg_op_complexity", g), Unit: "x", Value: oc})
+				row.Extra["mg_op_complexity"] = oc
+			}
 		}
 		rows = append(rows, row)
 	}

@@ -73,8 +73,8 @@ type Counters struct {
 	SurrogateAudits int64 `json:"surrogate_audits"`
 	SurrogateRefits int64 `json:"surrogate_refits"`
 	// MGCycles counts multigrid V-cycles applied as CG preconditioner passes;
-	// MGSetups counts hierarchy (re)coarsenings — the initial Galerkin build
-	// and every periodic numeric refresh. Both carry omitempty so flows on
+	// MGSetups counts hierarchy (re)coarsenings — the initial build and
+	// every numeric refresh. Both carry omitempty so flows on
 	// the default Jacobi path serialize exactly as before multigrid existed.
 	MGCycles int64 `json:"mg_cycles,omitempty"`
 	MGSetups int64 `json:"mg_setups,omitempty"`

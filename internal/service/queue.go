@@ -344,8 +344,13 @@ func (q *queue) clearCancel(id string) {
 	os.Remove(q.cancelMarkerPath(id))
 }
 
-// update applies f to the job under the lock and persists the result.
-func (q *queue) update(id string, f func(*Job)) (*Job, error) {
+// update applies f to the job under the lock and persists the result. When
+// committed is non-nil it runs after the record persists and before the lock
+// is released, with the new record (read-only): bookkeeping done there — the
+// terminal counters and latency observations — is visible no later than the
+// state itself, so a reader that sees the state also sees the counts. It runs
+// under q.mu, so it must not call back into the queue.
+func (q *queue) update(id string, f func(*Job), committed func(*Job)) (*Job, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	j, ok := q.jobs[id]
@@ -355,6 +360,9 @@ func (q *queue) update(id string, f func(*Job)) (*Job, error) {
 	f(j)
 	if err := q.persistLocked(j); err != nil {
 		return nil, err
+	}
+	if committed != nil {
+		committed(j)
 	}
 	if j.State == StateQueued {
 		q.poke()
@@ -409,8 +417,9 @@ func (q *queue) Depth() (queued, running int) {
 // CancelQueued transitions a still-queued job to canceled. It returns
 // (nil, false, err) when the job is unknown; (job, false, nil) when the job
 // is running or terminal (the caller must handle those states); and
-// (job, true, nil) when the queued job was canceled here.
-func (q *queue) CancelQueued(id string, now time.Time) (*Job, bool, error) {
+// (job, true, nil) when the queued job was canceled here, after running
+// committed (when non-nil) under the lock as update does.
+func (q *queue) CancelQueued(id string, now time.Time, committed func(*Job)) (*Job, bool, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	j, ok := q.jobs[id]
@@ -429,6 +438,9 @@ func (q *queue) CancelQueued(id string, now time.Time) (*Job, bool, error) {
 	j.FinishedAt = &at
 	if err := q.persistLocked(j); err != nil {
 		return nil, false, err
+	}
+	if committed != nil {
+		committed(j)
 	}
 	return j.clone(), true, nil
 }

@@ -148,7 +148,7 @@ func TestQueueBackoffGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate := time.Now().Add(time.Hour).UTC()
-	if _, err := q.update(j.ID, func(rec *Job) { rec.NotBefore = &gate }); err != nil {
+	if _, err := q.update(j.ID, func(rec *Job) { rec.NotBefore = &gate }, nil); err != nil {
 		t.Fatal(err)
 	}
 	if cands := q.claimable(time.Now()); len(cands) != 0 {
@@ -176,7 +176,7 @@ func TestQueueMarkRunningRejectsStaleEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A reclaim has already advanced the record to epoch 3.
-	if _, err := q.update(j.ID, func(rec *Job) { rec.Epoch = 3 }); err != nil {
+	if _, err := q.update(j.ID, func(rec *Job) { rec.Epoch = 3 }, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := q.markRunning(j.ID, "w-stale", 3, time.Now()); !errors.Is(err, errNotClaimable) {
@@ -239,7 +239,7 @@ func TestQueueQuota(t *testing.T) {
 		t.Fatalf("other tenant rejected: %v", err)
 	}
 	// Terminal jobs stop counting.
-	if _, done, err := q.CancelQueued(second.ID, time.Now()); err != nil || !done {
+	if _, done, err := q.CancelQueued(second.ID, time.Now(), nil); err != nil || !done {
 		t.Fatalf("cancel queued: done=%v err=%v", done, err)
 	}
 	if _, _, err := q.Submit(testSpec(5), time.Now()); err != nil {

@@ -151,6 +151,19 @@ func (sc *scavenger) reclaim(j *Job, now time.Time) bool {
 				"lease of worker %s expired; retry %d/%d after %s",
 				cur.WorkerID, retries, sc.budget, time.Until(gate).Round(time.Millisecond))
 		}
+	}, func(rec *Job) {
+		// Counted before the new state is visible (see queue.update).
+		sc.count(func(c *metrics.Counters) {
+			c.JobsReclaims++
+			switch rec.State {
+			case StateQueued:
+				c.JobsRetries++
+			case StateFailed:
+				c.JobsFailed++
+			case StateCanceled:
+				c.JobsCanceled++
+			}
+		})
 	})
 	if err != nil {
 		sc.obs.Add("service_persist_errors", 1)
@@ -160,18 +173,6 @@ func (sc *scavenger) reclaim(j *Job, now time.Time) bool {
 	}
 	releaseLease(sc.leaseDir, l)
 
-	sc.count(func(c *metrics.Counters) {
-		c.JobsReclaims++
-		if final.State == StateQueued {
-			c.JobsRetries++
-		}
-		if final.State == StateFailed {
-			c.JobsFailed++
-		}
-		if final.State == StateCanceled {
-			c.JobsCanceled++
-		}
-	})
 	sc.obs.ObserveTracedSpan(final.TraceID, obs.PhaseJobReclaim,
 		fmt.Sprintf("%s epoch %d", j.ID, epoch), start, time.Since(start))
 	if sc.publish != nil {

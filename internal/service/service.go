@@ -524,13 +524,14 @@ func (s *Service) Cancel(id string) (*Job, error) {
 	if err := s.queue.markCancel(id); err != nil {
 		return nil, fmt.Errorf("service: persisting cancel request: %w", err)
 	}
-	j, done, err := s.queue.CancelQueued(id, time.Now())
+	j, done, err := s.queue.CancelQueued(id, time.Now(), func(*Job) {
+		s.count(func(c *metrics.Counters) { c.JobsCanceled++ })
+	})
 	if err != nil {
 		return nil, err
 	}
 	if done {
 		s.queue.clearCancel(id)
-		s.count(func(c *metrics.Counters) { c.JobsCanceled++ })
 		s.onFinal(j)
 		return j, nil
 	}

@@ -343,6 +343,8 @@ func (w *Worker) finalizeCanceledBeforeRun(j *Job, epoch int64, l *lease) {
 		rec.Epoch = epoch
 		at := time.Now().UTC()
 		rec.FinishedAt = &at
+	}, func(*Job) {
+		w.count(func(c *metrics.Counters) { c.JobsCanceled++ })
 	})
 	releaseLease(w.leaseDir, l)
 	if err != nil {
@@ -350,7 +352,6 @@ func (w *Worker) finalizeCanceledBeforeRun(j *Job, epoch int64, l *lease) {
 		return
 	}
 	w.queue.clearCancel(j.ID)
-	w.count(func(c *metrics.Counters) { c.JobsCanceled++ })
 	if w.hooks.onFinal != nil {
 		w.hooks.onFinal(final)
 	}
@@ -547,6 +548,24 @@ func (w *Worker) finalize(job *Job, guard *leaseGuard, res *tap25d.Result, peaks
 			j.FinishedAt = &finished
 			j.Result = jobResult(res, peaks)
 		}
+	}, func(j *Job) {
+		// Count before the terminal state becomes visible: a client that
+		// observes it must also see the counters and the latency sample.
+		if resumed {
+			w.count(func(c *metrics.Counters) { c.JobsResumed++ })
+		}
+		if !j.Terminal() {
+			return
+		}
+		switch j.State {
+		case StateDone:
+			w.count(func(c *metrics.Counters) { c.JobsCompleted++ })
+		case StateFailed:
+			w.count(func(c *metrics.Counters) { c.JobsFailed++ })
+		case StateCanceled:
+			w.count(func(c *metrics.Counters) { c.JobsCanceled++ })
+		}
+		w.obs.ObserveNamed("job_latency", now.Sub(job.SubmittedAt))
 	})
 	if err != nil {
 		// The record refused to persist (disk trouble). The lease stays in
@@ -557,9 +576,6 @@ func (w *Worker) finalize(job *Job, guard *leaseGuard, res *tap25d.Result, peaks
 			"job_id", job.ID, "worker", w.cfg.id(), "error", err)
 		return
 	}
-	if resumed {
-		w.count(func(c *metrics.Counters) { c.JobsResumed++ })
-	}
 	if res != nil && res.Surrogate != nil {
 		w.obs.SetGauge("surrogate_drift_rms_c", res.Surrogate.DriftRMSC)
 	}
@@ -567,15 +583,6 @@ func (w *Worker) finalize(job *Job, guard *leaseGuard, res *tap25d.Result, peaks
 		w.count(func(c *metrics.Counters) { c.JobsLeasesReleased++ })
 	}
 	if final.Terminal() {
-		switch final.State {
-		case StateDone:
-			w.count(func(c *metrics.Counters) { c.JobsCompleted++ })
-		case StateFailed:
-			w.count(func(c *metrics.Counters) { c.JobsFailed++ })
-		case StateCanceled:
-			w.count(func(c *metrics.Counters) { c.JobsCanceled++ })
-		}
-		w.obs.ObserveNamed("job_latency", now.Sub(job.SubmittedAt))
 		os.RemoveAll(w.ckptDir(job.ID)) // spent snapshots
 		w.queue.clearCancel(job.ID)
 		if w.hooks.onFinal != nil {

@@ -3,7 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -21,33 +21,46 @@ import (
 //   - cell-centered bilinear prolongation P (≤4 coarse parents per fine cell,
 //     boundary weight folded onto the nearest parent so rows sum to 1 and the
 //     constant vector — the near-nullspace of a conductance matrix — is
-//     reproduced exactly), with restriction R = Pᵀ;
-//   - Galerkin coarse operators A_c = Pᵀ·A·P, so every boundary term and
-//     heterogeneous conductance is inherited rather than re-modeled;
+//     reproduced exactly), with restriction R = Pᵀ. P is the tensor product
+//     of two 1-D interpolations, so both transfers run matrix-free as
+//     separable passes (along x, then along y) over per-axis weight tables;
+//     nothing of the size of P is stored;
+//   - coarse operators re-discretized on the coarse grid by aggregation: a
+//     coarse cell is a 2×2 in-plane block of the finer level. Couplings
+//     between layers (vertical, TIM→spreader, spreader→sink) are summed over
+//     the block, since the coarse cell has four times the area. In-plane
+//     couplings across a block face are summed and then halved, since the
+//     coarse cell is twice as wide and twice as long. The diagonal is set so
+//     each coarse row sum — the cell's conductance to ambient — equals the
+//     sum of its children's row sums. Every level is therefore again a
+//     symmetric, weakly diagonally dominant M-matrix with the fine level's
+//     sparsity (operator complexity ≈ 4/3), and refreshing it is one O(nnz)
+//     scatter of the finer level's values through a fine-slot → coarse-slot
+//     map;
 //   - vertical-line block Gauss-Seidel smoothing: one forward sweep before
 //     and one backward sweep after the coarse correction, where each "point"
 //     of the sweep is a whole vertical column solved exactly through its
-//     tridiagonal factorization. Lines in the strong (vertical) direction are
-//     the textbook smoother for this anisotropy — point smoothers leave
-//     vertically-smooth, laterally-oscillatory error untouched, and damped
-//     Jacobi additionally diverges outright on Galerkin coarse operators that
-//     lose diagonal dominance (observed Gershgorin bounds of 5-10 on real
-//     multi-chiplet stacks). Forward and backward sweeps are A-adjoints of
-//     each other and block GS is unconditionally A-norm convergent for SPD
-//     matrices, so the V-cycle is symmetric positive definite with no damping
-//     parameter to tune;
+//     tridiagonal factorization, with the off-column couplings (split out at
+//     Refresh) on the right-hand side. Lines in the strong (vertical)
+//     direction are the textbook smoother for this anisotropy — point
+//     smoothers leave vertically-smooth, laterally-oscillatory error
+//     untouched. Forward and backward sweeps are A-adjoints of each other and
+//     block GS is unconditionally A-norm convergent for SPD matrices, so the
+//     V-cycle is symmetric positive definite with no damping parameter to
+//     tune;
 //   - a dense Cholesky solve at the coarsest level, falling back to a fixed
 //     number of symmetric Gauss-Seidel sweeps when coarsening stalls early
 //     (odd dimensions) and the coarsest system is too large to factor.
 //
-// The expensive symbolic work — interpolation weights, coarse sparsity
-// patterns — depends only on the grid geometry and the fine matrix pattern,
-// both of which are shared by every evaluator replica of one placement flow
-// and every service worker solving the same model. It is therefore built once
-// per (geometry, pattern) pair and cached process-wide (mgStructCache); a
-// Multigrid instance owns only the numeric state (coarse values, smoother
-// diagonals, the coarsest factorization, scratch), which Refresh recomputes
-// from the live fine values in one deterministic pass.
+// The symbolic work — transfer weights, coarse sparsity patterns, the
+// aggregation and off-column maps — depends only on the grid geometry and
+// the fine matrix pattern, both of which are shared by every evaluator
+// replica of one placement flow and every service worker solving the same
+// model. It is therefore built once per (geometry, pattern) pair and cached
+// process-wide (mgStructCache); a Multigrid instance owns only the numeric
+// state (coarse values, smoother factors, the coarsest factorization,
+// scratch), which Refresh recomputes from the live fine values in one
+// deterministic pass.
 
 // GridGeometry describes the structured layered grid behind a matrix:
 // Layers planes of Ny rows × Nx columns, with node (l, i, j) stored at index
@@ -84,10 +97,34 @@ func (o MGOptions) withDefaults() MGOptions {
 	return o
 }
 
+// axisTransfer is the 1-D cell-centered linear interpolation along one axis
+// from nc coarse cells to nf = 2·nc fine cells: per fine index, the primary
+// parent c0 and the neighbor c1 the fine cell's center leans toward, with
+// weights w0 + w1 = 1 (see interp1D). The 2-D prolongation of a plane is the
+// product of the x and y tables, and restriction applies the same tables
+// transposed.
+type axisTransfer struct {
+	c0, c1 []int32
+	w0, w1 []float64
+}
+
+func newAxisTransfer(nf, nc int) axisTransfer {
+	t := axisTransfer{
+		c0: make([]int32, nf), c1: make([]int32, nf),
+		w0: make([]float64, nf), w1: make([]float64, nf),
+	}
+	for f := 0; f < nf; f++ {
+		c0, w0, c1, w1 := interp1D(f, nc)
+		t.c0[f], t.c1[f], t.w0[f], t.w1[f] = int32(c0), int32(c1), w0, w1
+	}
+	return t
+}
+
 // mgLevel is the immutable, shareable symbolic description of one hierarchy
 // level: its dimensions, its operator sparsity pattern (levels ≥ 1; level 0
-// uses the bound matrix's own pattern), and the interpolation between this
-// level and the next finer one (levels ≥ 1).
+// uses the bound matrix's own pattern), the line smoother's column split,
+// and — for levels ≥ 1 — the transfers and aggregation map between this
+// level and the next finer one.
 type mgLevel struct {
 	nx, ny, n int
 
@@ -101,23 +138,28 @@ type mgLevel struct {
 	rowPtr, col              []int32
 	diagSlot, upSlot, dnSlot []int32
 
-	// Prolongation P from this (coarse) level to the next finer level:
-	// pPtr has fineN+1 entries; row f of P lists the ≤4 coarse parents of
-	// fine node f with bilinear weights. pt* is the transpose (restriction),
-	// indexed by coarse node.
-	pPtr, pCol   []int32
-	pW           []float64
-	ptPtr, ptCol []int32
-	ptW          []float64
+	// Off-column couplings of each row — every entry but the diagonal and the
+	// up/down slots — as a CSR over offPtr/offCol with rows in line-sweep
+	// order (see splitColumns); offSlot[q] is the value slot entry q copies
+	// from at Refresh.
+	offPtr, offCol, offSlot []int32
+
+	// Transfers to the next finer level, one table per axis.
+	tx, ty axisTransfer
+
+	// agg maps each value slot of the next finer level's operator to the slot
+	// of this level it aggregates into. A negative entry ^s marks an in-plane
+	// coupling across a block face: half its value goes to slot s and half
+	// to the diagonal of the fine row's parent, which keeps the row sums.
+	agg []int32
 }
 
 // mgStructure is the full symbolic hierarchy for one (geometry, pattern)
 // pair. It is immutable after construction and shared across Multigrid
 // instances via mgStructCache.
 type mgStructure struct {
-	geo        GridGeometry
-	levels     []*mgLevel
-	maxCoarseN int // largest level-≥1 size, for the Galerkin scatter scratch
+	geo    GridGeometry
+	levels []*mgLevel
 }
 
 // mgCacheKey identifies a symbolic hierarchy: the grid geometry plus a hash
@@ -159,8 +201,8 @@ func canCoarsen(nx, ny int) bool {
 // interp1D returns the cell-centered linear interpolation of fine index f
 // from a coarse axis of nc cells: the primary parent c0 = f/2 and, when it
 // exists, the neighbor toward which cell f's center leans. At the boundary
-// the neighbor weight is folded onto the primary parent (c1 = -1), keeping
-// the row sum at 1 so constants interpolate exactly.
+// the neighbor weight is folded onto the primary parent (c1 = c0, w1 = 0),
+// keeping the row sum at 1 so constants interpolate exactly.
 func interp1D(f, nc int) (c0 int, w0 float64, c1 int, w1 float64) {
 	c0 = f / 2
 	if f%2 == 0 {
@@ -169,98 +211,66 @@ func interp1D(f, nc int) (c0 int, w0 float64, c1 int, w1 float64) {
 		c1 = c0 + 1
 	}
 	if c1 < 0 || c1 >= nc {
-		return c0, 1, -1, 0
+		return c0, 1, c0, 0
 	}
 	return c0, 0.75, c1, 0.25
 }
 
-// buildProlongation fills lev (the coarse level) with the bilinear P between
-// it and a fine plane of nxF×nyF cells over layers planes, plus its transpose.
-func buildProlongation(lev *mgLevel, layers, nxF, nyF int) {
+// buildAggregation fills lev's operator pattern from the finer level's
+// (nxF×nyF planes, pattern fineRowPtr/fineCol): coarse row I couples to the
+// parent block of every column its four children couple to. It also records
+// lev.agg, the fine-slot → coarse-slot map Refresh scatters values through.
+func buildAggregation(lev *mgLevel, nxF, nyF int, fineRowPtr, fineCol []int32) {
 	nxC, nyC := lev.nx, lev.ny
-	fineN := layers * nxF * nyF
-	lev.pPtr = make([]int32, fineN+1)
-	lev.pCol = make([]int32, 0, 4*fineN)
-	lev.pW = make([]float64, 0, 4*fineN)
-	for l := 0; l < layers; l++ {
-		for i := 0; i < nyF; i++ {
-			ic0, wi0, ic1, wi1 := interp1D(i, nyC)
-			for j := 0; j < nxF; j++ {
-				jc0, wj0, jc1, wj1 := interp1D(j, nxC)
-				f := (l*nyF+i)*nxF + j
-				add := func(ic, jc int, w float64) {
-					lev.pCol = append(lev.pCol, int32((l*nyC+ic)*nxC+jc))
-					lev.pW = append(lev.pW, w)
-				}
-				add(ic0, jc0, wi0*wj0)
-				if jc1 >= 0 {
-					add(ic0, jc1, wi0*wj1)
-				}
-				if ic1 >= 0 {
-					add(ic1, jc0, wi1*wj0)
-					if jc1 >= 0 {
-						add(ic1, jc1, wi1*wj1)
-					}
-				}
-				lev.pPtr[f+1] = int32(len(lev.pCol))
-			}
-		}
+	nxyF, nxyC := nxF*nyF, nxC*nyC
+	parent := func(f int32) int32 {
+		p, rem := int(f)/nxyF, int(f)%nxyF
+		return int32((p*nyC+rem/nxF/2)*nxC + rem%nxF/2)
 	}
-
-	// Transpose for restriction: coarse rows over fine columns, fine indices
-	// ascending within each row (they are appended in fine order).
-	count := make([]int32, lev.n+1)
-	for _, c := range lev.pCol {
-		count[c+1]++
-	}
-	for i := 0; i < lev.n; i++ {
-		count[i+1] += count[i]
-	}
-	lev.ptPtr = append([]int32(nil), count...)
-	lev.ptCol = make([]int32, len(lev.pCol))
-	lev.ptW = make([]float64, len(lev.pW))
-	next := append([]int32(nil), count[:lev.n]...)
-	for f := 0; f < fineN; f++ {
-		for k := lev.pPtr[f]; k < lev.pPtr[f+1]; k++ {
-			c := lev.pCol[k]
-			p := next[c]
-			lev.ptCol[p] = int32(f)
-			lev.ptW[p] = lev.pW[k]
-			next[c] = p + 1
-		}
-	}
-}
-
-// buildCoarsePattern computes the Galerkin sparsity pattern of lev from the
-// fine pattern (fineRowPtr/fineCol) and lev's interpolation: row I of A_c
-// couples every coarse pair reachable through Pᵀ·A·P.
-func buildCoarsePattern(lev *mgLevel, fineRowPtr, fineCol []int32) {
 	lev.rowPtr = make([]int32, lev.n+1)
-	marker := make([]int32, lev.n)
-	for i := range marker {
-		marker[i] = -1
+	lev.agg = make([]int32, len(fineCol))
+	var cols []int32
+	mark := make([]int32, lev.n)
+	slot := make([]int32, lev.n) // coarse column -> value slot in the current row
+	for i := range mark {
+		mark[i] = -1
 	}
-	cols := make([]int32, 0, 27*lev.n)
+	var children [4]int32
 	for I := 0; I < lev.n; I++ {
+		p, ic, jc := I/nxyC, I%nxyC/nxC, I%nxC
+		for c := range children {
+			children[c] = int32((p*nyF+2*ic+c/2)*nxF + 2*jc + c%2)
+		}
 		start := len(cols)
-		for q := lev.ptPtr[I]; q < lev.ptPtr[I+1]; q++ {
-			fi := lev.ptCol[q]
-			for k := fineRowPtr[fi]; k < fineRowPtr[fi+1]; k++ {
-				fj := fineCol[k]
-				for p := lev.pPtr[fj]; p < lev.pPtr[fj+1]; p++ {
-					J := lev.pCol[p]
-					if marker[J] != int32(I) {
-						marker[J] = int32(I)
-						cols = append(cols, J)
-					}
+		for _, f := range children {
+			for k := fineRowPtr[f]; k < fineRowPtr[f+1]; k++ {
+				if J := parent(fineCol[k]); mark[J] != int32(I) {
+					mark[J] = int32(I)
+					cols = append(cols, J)
 				}
 			}
 		}
-		row := cols[start:]
-		sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
+		slices.Sort(cols[start:])
+		for s, J := range cols[start:] {
+			slot[J] = int32(start + s)
+		}
 		lev.rowPtr[I+1] = int32(len(cols))
+		for _, f := range children {
+			for k := fineRowPtr[f]; k < fineRowPtr[f+1]; k++ {
+				g := fineCol[k]
+				J := parent(g)
+				switch {
+				case J == int32(I):
+					lev.agg[k] = slot[I] // diagonal or inside the block
+				case int(g)/nxyF == int(f)/nxyF:
+					lev.agg[k] = ^slot[J] // in-plane across a block face
+				default:
+					lev.agg[k] = slot[J] // between layers
+				}
+			}
+		}
 	}
-	lev.col = cols
+	lev.col = slices.Clip(cols)
 }
 
 // findDiagSlots records, per row, the value-slot index of the diagonal entry
@@ -300,6 +310,31 @@ func findVertSlots(n, nxy int, rowPtr, col []int32) (up, dn []int32) {
 	return up, dn
 }
 
+// splitColumns finds lev's diagonal and vertical slots in the pattern
+// rowPtr/col and records every remaining entry as an off-column coupling.
+// The off-column rows are stored in the line smoother's visiting order —
+// column by column, bottom layer to top (position c·layers + p for the node
+// of layer p in in-plane column c) — so each sweep streams them
+// sequentially.
+func splitColumns(lev *mgLevel, layers int, rowPtr, col []int32) {
+	lev.diagSlot = findDiagSlots(lev.n, rowPtr, col)
+	nxy := lev.nx * lev.ny
+	lev.upSlot, lev.dnSlot = findVertSlots(lev.n, nxy, rowPtr, col)
+	lev.offPtr = make([]int32, lev.n+1)
+	for c := 0; c < nxy; c++ {
+		for p := 0; p < layers; p++ {
+			i := p*nxy + c
+			for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
+				if k != lev.diagSlot[i] && k != lev.upSlot[i] && k != lev.dnSlot[i] {
+					lev.offCol = append(lev.offCol, col[k])
+					lev.offSlot = append(lev.offSlot, k)
+				}
+			}
+			lev.offPtr[c*layers+p+1] = int32(len(lev.offCol))
+		}
+	}
+}
+
 // mgStructureFor returns the shared symbolic hierarchy for (a, geo), building
 // and caching it on first use.
 func mgStructureFor(a *CSR, geo GridGeometry) *mgStructure {
@@ -309,22 +344,17 @@ func mgStructureFor(a *CSR, geo GridGeometry) *mgStructure {
 	}
 	s := &mgStructure{geo: geo}
 	fine := &mgLevel{nx: geo.Nx, ny: geo.Ny, n: geo.Nodes()}
-	fine.diagSlot = findDiagSlots(fine.n, a.RowPtr, a.Col)
-	fine.upSlot, fine.dnSlot = findVertSlots(fine.n, geo.Nx*geo.Ny, a.RowPtr, a.Col)
+	splitColumns(fine, geo.Layers, a.RowPtr, a.Col)
 	s.levels = append(s.levels, fine)
 	rowPtr, col := a.RowPtr, a.Col
 	nx, ny := geo.Nx, geo.Ny
 	for canCoarsen(nx, ny) {
 		nxC, nyC := nx/2, ny/2
 		lev := &mgLevel{nx: nxC, ny: nyC, n: geo.Layers * nxC * nyC}
-		buildProlongation(lev, geo.Layers, nx, ny)
-		buildCoarsePattern(lev, rowPtr, col)
-		lev.diagSlot = findDiagSlots(lev.n, lev.rowPtr, lev.col)
-		lev.upSlot, lev.dnSlot = findVertSlots(lev.n, nxC*nyC, lev.rowPtr, lev.col)
+		lev.tx, lev.ty = newAxisTransfer(nx, nxC), newAxisTransfer(ny, nyC)
+		buildAggregation(lev, nx, ny, rowPtr, col)
+		splitColumns(lev, geo.Layers, lev.rowPtr, lev.col)
 		s.levels = append(s.levels, lev)
-		if lev.n > s.maxCoarseN {
-			s.maxCoarseN = lev.n
-		}
 		rowPtr, col = lev.rowPtr, lev.col
 		nx, ny = nxC, nyC
 	}
@@ -336,13 +366,14 @@ func mgStructureFor(a *CSR, geo GridGeometry) *mgStructure {
 
 // mgLevelData is the per-instance numeric state of one level: the operator
 // (level 0 snapshots the bound fine matrix's values at Refresh; coarser
-// levels own Galerkin values over the shared pattern), the line smoother's
-// per-column tridiagonal LDLᵀ factors (lfac holds the unit-lower multiplier
-// of each row toward the layer below, dinv the inverse pivots), the inverse
-// point diagonal for the coarsest-level GS fallback, and scratch vectors.
+// levels own aggregated values over the shared pattern), its off-column
+// values, the line smoother's per-column tridiagonal LDLᵀ factors (lfac
+// holds the unit-lower multiplier of each row toward the layer below, dinv
+// the inverse pivots; both in line-sweep order like the off-column rows),
+// and scratch vectors.
 type mgLevelData struct {
 	a          *CSR
-	invD       []float64
+	off        []float64
 	lfac, dinv []float64
 	workers    int
 	r, z, t    []float64
@@ -366,7 +397,8 @@ type Multigrid struct {
 
 	lv   []mgLevelData
 	chol []float64 // dense Cholesky factor of the coarsest level, nil → GS fallback
-	ws   []float64 // Galerkin scatter workspace, maxCoarseN long
+	invD []float64 // inverse diagonal of the coarsest level, for the GS fallback
+	xfer []float64 // one plane of the separable transfers' intermediate pass
 	line []float64 // line-smoother block scratch, Layers long
 
 	cycles, setups int64
@@ -392,8 +424,10 @@ func NewMultigrid(a *CSR, geo GridGeometry, opt MGOptions) (*Multigrid, error) {
 		gsSweeps: opt.GSSweeps,
 		maxDense: opt.CoarsestMaxDense,
 		lv:       make([]mgLevelData, len(s.levels)),
-		ws:       make([]float64, s.maxCoarseN),
 		line:     make([]float64, geo.Layers),
+	}
+	if len(s.levels) > 1 {
+		mg.xfer = make([]float64, geo.Nx*geo.Ny/2)
 	}
 	for l, lev := range s.levels {
 		d := &mg.lv[l]
@@ -402,13 +436,13 @@ func NewMultigrid(a *CSR, geo GridGeometry, opt MGOptions) (*Multigrid, error) {
 			// pattern) rather than aliasing them: Refresh copies them in, so
 			// in-place updates to the bound matrix between refreshes leave
 			// the whole hierarchy consistently stale. Mixing live level-0
-			// values with stale coarse operators and smoother diagonals can
+			// values with stale coarse operators and smoother factors can
 			// lose positive definiteness.
 			d.a = &CSR{N: a.N, RowPtr: a.RowPtr, Col: a.Col, Val: make([]float64, len(a.Val))}
 		} else {
 			d.a = &CSR{N: lev.n, RowPtr: lev.rowPtr, Col: lev.col, Val: make([]float64, len(lev.col))}
 		}
-		d.invD = make([]float64, lev.n)
+		d.off = make([]float64, len(lev.offCol))
 		d.lfac = make([]float64, lev.n)
 		d.dinv = make([]float64, lev.n)
 		d.workers = parallelWorkers(lev.n)
@@ -416,6 +450,7 @@ func NewMultigrid(a *CSR, geo GridGeometry, opt MGOptions) (*Multigrid, error) {
 		d.z = make([]float64, lev.n)
 		d.t = make([]float64, lev.n)
 	}
+	mg.invD = make([]float64, s.levels[len(s.levels)-1].n)
 	if err := mg.Refresh(); err != nil {
 		return nil, err
 	}
@@ -432,27 +467,41 @@ func (mg *Multigrid) Cycles() int64 { return mg.cycles }
 // Setups returns the number of Refresh passes (including the constructor's).
 func (mg *Multigrid) Setups() int64 { return mg.setups }
 
+// OperatorComplexity returns the stored operator entries of all levels over
+// those of the fine operator — about 4/3 when every level keeps the fine
+// sparsity and each coarsening quarters the node count.
+func (mg *Multigrid) OperatorComplexity() float64 {
+	var total int
+	for _, d := range mg.lv {
+		total += d.a.NNZ()
+	}
+	return float64(total) / float64(mg.lv[0].a.NNZ())
+}
+
 // Refresh recomputes the numeric hierarchy from the bound matrix's current
-// values: Galerkin coarse operators level by level, smoother diagonals, and
-// the coarsest-level factorization. The pass is one deterministic serial
-// sweep, so refreshed hierarchies — and therefore preconditioned iteration
-// counts — are reproducible across runs.
+// values: aggregated coarse operators level by level, off-column values and
+// line-smoother factors, and the coarsest-level factorization. The pass is
+// one deterministic serial sweep, so refreshed hierarchies — and therefore
+// preconditioned iteration counts — are reproducible across runs.
 func (mg *Multigrid) Refresh() error {
 	copy(mg.lv[0].a.Val, mg.a.Val)
 	for l := 1; l < len(mg.lv); l++ {
-		mg.galerkin(l)
+		mg.aggregate(l)
 	}
 	for l := range mg.lv {
 		lev, d := mg.s.levels[l], &mg.lv[l]
+		val := d.a.Val
 		for i, slot := range lev.diagSlot {
 			var v float64
 			if slot >= 0 {
-				v = d.a.Val[slot]
+				v = val[slot]
 			}
 			if v <= 0 {
 				return fmt.Errorf("sparse: multigrid level %d has non-positive diagonal %g at row %d; matrix not SPD", l, v, i)
 			}
-			d.invD[i] = 1 / v
+		}
+		for q, slot := range lev.offSlot {
+			d.off[q] = val[slot]
 		}
 		// Factor each vertical column's tridiagonal block (diagonal plus the
 		// up/down couplings) as LDLᵀ for the line smoother. The blocks are
@@ -464,25 +513,28 @@ func (mg *Multigrid) Refresh() error {
 		for c := 0; c < nxy; c++ {
 			prev := 0.0
 			for p := 0; p < layers; p++ {
-				i := p*nxy + c
-				piv := d.a.Val[lev.diagSlot[i]]
-				d.lfac[i] = 0
+				i, q := p*nxy+c, c*layers+p
+				piv := val[lev.diagSlot[i]]
+				d.lfac[q] = 0
 				if p > 0 {
 					if s := lev.upSlot[i-nxy]; s >= 0 {
-						m := d.a.Val[s] * prev
-						d.lfac[i] = m
-						piv -= m * d.a.Val[s]
+						m := val[s] * prev
+						d.lfac[q] = m
+						piv -= m * val[s]
 					}
 				}
 				if piv <= 0 {
 					return fmt.Errorf("sparse: multigrid level %d line pivot %g <= 0 at row %d; matrix not SPD", l, piv, i)
 				}
 				prev = 1 / piv
-				d.dinv[i] = prev
+				d.dinv[q] = prev
 			}
 		}
 	}
 	last := &mg.lv[len(mg.lv)-1]
+	for i, slot := range mg.s.levels[len(mg.lv)-1].diagSlot {
+		mg.invD[i] = 1 / last.a.Val[slot]
+	}
 	if last.a.N <= mg.maxDense {
 		chol, err := denseCholesky(last.a)
 		if err != nil {
@@ -496,31 +548,29 @@ func (mg *Multigrid) Refresh() error {
 	return nil
 }
 
-// galerkin recomputes level l's operator values as Pᵀ·A_{l-1}·P: for each
-// coarse row, contributions are scattered into a dense workspace through the
-// fixed interpolation lists and gathered back into the (superset-by-
-// construction) pattern slots. Serial and in fixed order, hence
-// deterministic.
-func (mg *Multigrid) galerkin(l int) {
-	lev := mg.s.levels[l]
-	fine, coarse := mg.lv[l-1].a, mg.lv[l].a
-	ws := mg.ws
-	for I := 0; I < coarse.N; I++ {
-		for q := lev.ptPtr[I]; q < lev.ptPtr[I+1]; q++ {
-			fi := int(lev.ptCol[q])
-			wI := lev.ptW[q]
-			for k := fine.RowPtr[fi]; k < fine.RowPtr[fi+1]; k++ {
-				v := wI * fine.Val[k]
-				fj := int(fine.Col[k])
-				for p := lev.pPtr[fj]; p < lev.pPtr[fj+1]; p++ {
-					ws[lev.pCol[p]] += v * lev.pW[p]
+// aggregate recomputes level l's operator values from level l-1's by one
+// scatter through the aggregation map (see mgLevel.agg). Serial and in fixed
+// order, hence deterministic.
+func (mg *Multigrid) aggregate(l int) {
+	lev, fineLev := mg.s.levels[l], mg.s.levels[l-1]
+	fine, cv := mg.lv[l-1].a, mg.lv[l].a.Val
+	clear(cv)
+	f := 0
+	for p := 0; p < mg.s.geo.Layers; p++ {
+		for i := 0; i < fineLev.ny; i++ {
+			for j := 0; j < fineLev.nx; j++ {
+				diag := lev.diagSlot[(p*lev.ny+i/2)*lev.nx+j/2]
+				for k := fine.RowPtr[f]; k < fine.RowPtr[f+1]; k++ {
+					v, s := fine.Val[k], lev.agg[k]
+					if s < 0 {
+						s = ^s
+						v *= 0.5
+						cv[diag] += v
+					}
+					cv[s] += v
 				}
+				f++
 			}
-		}
-		for k := coarse.RowPtr[I]; k < coarse.RowPtr[I+1]; k++ {
-			J := coarse.Col[k]
-			coarse.Val[k] = ws[J]
-			ws[J] = 0
 		}
 	}
 }
@@ -563,36 +613,85 @@ func (mg *Multigrid) vcycle(l int, z, r []float64) {
 		d.t[i] = r[i] - d.t[i]
 	}
 	nxt := &mg.lv[l+1]
-	lev := mg.s.levels[l+1]
-	for I := 0; I < nxt.a.N; I++ {
-		var s float64
-		for q := lev.ptPtr[I]; q < lev.ptPtr[I+1]; q++ {
-			s += lev.ptW[q] * d.t[lev.ptCol[q]]
-		}
-		nxt.r[I] = s
-	}
+	mg.restrict(l+1, nxt.r, d.t)
 	mg.vcycle(l+1, nxt.z, nxt.r)
-	zc := nxt.z
-	for f := 0; f < d.a.N; f++ {
-		var s float64
-		for p := lev.pPtr[f]; p < lev.pPtr[f+1]; p++ {
-			s += lev.pW[p] * zc[lev.pCol[p]]
-		}
-		z[f] += s
-	}
+	mg.prolongAdd(l+1, z, nxt.z)
 	mg.lineSweep(l, z, r, true)
+}
+
+// restrict computes rc = Pᵀ·tf from level l-1 (fine) to level l (coarse),
+// plane by plane: each fine value is scattered to its parents along x into
+// the scratch plane, then each scratch row to its parent rows along y.
+func (mg *Multigrid) restrict(l int, rc, tf []float64) {
+	lev, fl := mg.s.levels[l], mg.s.levels[l-1]
+	nxF, nyF, nxC, nyC := fl.nx, fl.ny, lev.nx, lev.ny
+	tx, ty := &lev.tx, &lev.ty
+	tmp := mg.xfer[:nyF*nxC]
+	for p := 0; p < mg.s.geo.Layers; p++ {
+		tfP := tf[p*nxF*nyF:][:nxF*nyF]
+		rcP := rc[p*nxC*nyC:][:nxC*nyC]
+		clear(tmp)
+		for fi := 0; fi < nyF; fi++ {
+			row := tfP[fi*nxF:][:nxF]
+			out := tmp[fi*nxC:][:nxC]
+			for fj, v := range row {
+				out[tx.c0[fj]] += tx.w0[fj] * v
+				out[tx.c1[fj]] += tx.w1[fj] * v
+			}
+		}
+		clear(rcP)
+		for fi := 0; fi < nyF; fi++ {
+			w0, w1 := ty.w0[fi], ty.w1[fi]
+			src := tmp[fi*nxC:][:nxC]
+			a := rcP[int(ty.c0[fi])*nxC:][:nxC]
+			b := rcP[int(ty.c1[fi])*nxC:][:nxC]
+			for J, v := range src {
+				a[J] += w0 * v
+				b[J] += w1 * v
+			}
+		}
+	}
+}
+
+// prolongAdd adds P·zc from level l (coarse) into zf on level l-1 (fine),
+// plane by plane: first along x into the scratch plane, then along y.
+func (mg *Multigrid) prolongAdd(l int, zf, zc []float64) {
+	lev, fl := mg.s.levels[l], mg.s.levels[l-1]
+	nxF, nyF, nxC, nyC := fl.nx, fl.ny, lev.nx, lev.ny
+	tx, ty := &lev.tx, &lev.ty
+	tmp := mg.xfer[:nyC*nxF]
+	for p := 0; p < mg.s.geo.Layers; p++ {
+		zcP := zc[p*nxC*nyC:][:nxC*nyC]
+		zfP := zf[p*nxF*nyF:][:nxF*nyF]
+		for I := 0; I < nyC; I++ {
+			row := zcP[I*nxC:][:nxC]
+			out := tmp[I*nxF:][:nxF]
+			for fj := range out {
+				out[fj] = tx.w0[fj]*row[tx.c0[fj]] + tx.w1[fj]*row[tx.c1[fj]]
+			}
+		}
+		for fi := 0; fi < nyF; fi++ {
+			w0, w1 := ty.w0[fi], ty.w1[fi]
+			a := tmp[int(ty.c0[fi])*nxF:][:nxF]
+			b := tmp[int(ty.c1[fi])*nxF:][:nxF]
+			out := zfP[fi*nxF:][:nxF]
+			for fj := range out {
+				out[fj] += w0*a[fj] + w1*b[fj]
+			}
+		}
+	}
 }
 
 // lineSweep performs one vertical-line block Gauss-Seidel sweep on level l,
 // updating z in place: columns are visited in in-plane order (reversed when
-// backward), and each column's block system — its exact tridiagonal, with all
+// backward), and each column's block system — its exact tridiagonal, with the
 // off-column couplings moved to the right-hand side at their latest values —
 // is solved through the LDLᵀ factors prepared by Refresh. Serial and in fixed
 // order, hence deterministic; the backward sweep visits columns in exactly
 // the reverse order, making it the forward sweep's A-adjoint.
 func (mg *Multigrid) lineSweep(l int, z, r []float64, backward bool) {
 	lev, d := mg.s.levels[l], &mg.lv[l]
-	a := d.a
+	offPtr, offCol, off := lev.offPtr, lev.offCol, d.off
 	nxy := lev.nx * lev.ny
 	layers := mg.s.geo.Layers
 	t := mg.line
@@ -601,31 +700,25 @@ func (mg *Multigrid) lineSweep(l int, z, r []float64, backward bool) {
 		if backward {
 			c = nxy - 1 - bi
 		}
-		// Off-column residual: subtract the full row dot and add back the
-		// in-block terms the tridiagonal solve below accounts for exactly.
+		q0 := c * layers
 		for p := 0; p < layers; p++ {
-			i := p*nxy + c
-			acc := r[i]
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				acc -= a.Val[k] * z[a.Col[k]]
-			}
-			acc += a.Val[lev.diagSlot[i]] * z[i]
-			if s := lev.dnSlot[i]; s >= 0 {
-				acc += a.Val[s] * z[i-nxy]
-			}
-			if s := lev.upSlot[i]; s >= 0 {
-				acc += a.Val[s] * z[i+nxy]
+			lo, hi := offPtr[q0+p], offPtr[q0+p+1]
+			cols := offCol[lo:hi]
+			acc := r[p*nxy+c]
+			for k, v := range off[lo:hi] {
+				acc -= v * z[cols[k]]
 			}
 			t[p] = acc
 		}
+		lfac, dinv := d.lfac[q0:q0+layers], d.dinv[q0:q0+layers]
 		for p := 1; p < layers; p++ {
-			t[p] -= d.lfac[p*nxy+c] * t[p-1]
+			t[p] -= lfac[p] * t[p-1]
 		}
 		for p := 0; p < layers; p++ {
-			t[p] *= d.dinv[p*nxy+c]
+			t[p] *= dinv[p]
 		}
 		for p := layers - 2; p >= 0; p-- {
-			t[p] -= d.lfac[(p+1)*nxy+c] * t[p+1]
+			t[p] -= lfac[p+1] * t[p+1]
 		}
 		for p := 0; p < layers; p++ {
 			z[p*nxy+c] = t[p]
@@ -638,7 +731,7 @@ func (mg *Multigrid) lineSweep(l int, z, r []float64, backward bool) {
 // so the overall cycle stays a valid SPD preconditioner even when the
 // coarsest system was too large to factor densely.
 func (mg *Multigrid) coarseGS(d *mgLevelData, z, r []float64) {
-	a, invD := d.a, d.invD
+	a, invD := d.a, mg.invD
 	n := a.N
 	for i := range z {
 		z[i] = 0

@@ -39,46 +39,177 @@ func TestMultigridLevels(t *testing.T) {
 	}
 }
 
-// TestMultigridGalerkinConsistency: P reproduces constants, so the Galerkin
-// operator must satisfy A_c·1 = Pᵀ·(A·1) exactly up to rounding — the
-// boundary conductances of the fine operator reappear, restricted, on every
-// coarse level.
-func TestMultigridGalerkinConsistency(t *testing.T) {
-	a := grid3D(16, 3)
-	mg, err := NewMultigrid(a, stackGeo(16, 3), MGOptions{})
+// hetStack builds a heterogeneous layered conductance matrix shaped like the
+// thermal model's: random in-plane and vertical conductances per cell, and a
+// top layer that — like the TIM→spreader coupling onto a larger spreader —
+// couples each cell below it to a shifted, shared cell rather than its own
+// column, plus convection to ambient on the top layer.
+func hetStack(g, l int, seed int64) *CSR {
+	rng := rand.New(rand.NewSource(seed))
+	b := NewBuilder(g * g * l)
+	id := func(z, i, j int) int { return z*g*g + i*g + j }
+	for z := 0; z < l; z++ {
+		for i := 0; i < g; i++ {
+			for j := 0; j < g; j++ {
+				if i+1 < g {
+					b.AddSym(id(z, i, j), id(z, i+1, j), 0.5+1.5*rng.Float64())
+				}
+				if j+1 < g {
+					b.AddSym(id(z, i, j), id(z, i, j+1), 0.5+1.5*rng.Float64())
+				}
+				switch {
+				case z+2 < l:
+					b.AddSym(id(z, i, j), id(z+1, i, j), 2+8*rng.Float64())
+				case z+2 == l:
+					b.AddSym(id(z, i, j), id(z+1, g/4+i/2, g/4+j/2), 2+8*rng.Float64())
+				default:
+					b.AddDiag(id(z, i, j), 0.1)
+				}
+			}
+		}
+	}
+	return b.Build()
+}
+
+// TestMultigridCoarseOperators checks the aggregated operator of every
+// level: symmetric, non-positive off-diagonals, weakly diagonally dominant,
+// and conserving row sums — each coarse row sum (its conductance to
+// ambient) equals the sum of its 2×2 children's row sums on the level above.
+func TestMultigridCoarseOperators(t *testing.T) {
+	const g, layers = 32, 4
+	a := hetStack(g, layers, 9)
+	mg, err := NewMultigrid(a, stackGeo(g, layers), MGOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fineOnes := make([]float64, a.N)
-	for i := range fineOnes {
-		fineOnes[i] = 1
+	if mg.Levels() < 3 {
+		t.Fatalf("Levels() = %d, want ≥ 3", mg.Levels())
 	}
-	fineRow := make([]float64, a.N)
-	a.MulVec(fineRow, fineOnes)
-	for l := 1; l < mg.Levels(); l++ {
-		lev := mg.s.levels[l]
-		ac := mg.lv[l].a
-		// want = Pᵀ·fineRow restricted level by level.
-		want := make([]float64, lev.n)
-		for I := 0; I < lev.n; I++ {
-			var s float64
-			for q := lev.ptPtr[I]; q < lev.ptPtr[I+1]; q++ {
-				s += lev.ptW[q] * fineRow[lev.ptCol[q]]
-			}
-			want[I] = s
-		}
-		ones := make([]float64, lev.n)
+	rowSums := func(m *CSR) []float64 {
+		ones := make([]float64, m.N)
 		for i := range ones {
 			ones[i] = 1
 		}
-		got := make([]float64, lev.n)
-		ac.MulVec(got, ones)
-		for i := range got {
-			if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
-				t.Fatalf("level %d: (A_c·1)[%d] = %g, want %g", l, i, got[i], want[i])
+		out := make([]float64, m.N)
+		m.MulVec(out, ones)
+		return out
+	}
+	fineSums := rowSums(a)
+	for l := 1; l < mg.Levels(); l++ {
+		lev, fl := mg.s.levels[l], mg.s.levels[l-1]
+		ac := mg.lv[l].a
+		want := make([]float64, lev.n)
+		for f, v := range fineSums {
+			p, rem := f/(fl.nx*fl.ny), f%(fl.nx*fl.ny)
+			want[(p*lev.ny+rem/fl.nx/2)*lev.nx+rem%fl.nx/2] += v
+		}
+		got := rowSums(ac)
+		entry := map[[2]int32]float64{}
+		for i := 0; i < ac.N; i++ {
+			var diag, offAbs, scale float64
+			for k := ac.RowPtr[i]; k < ac.RowPtr[i+1]; k++ {
+				j, v := ac.Col[k], ac.Val[k]
+				entry[[2]int32{int32(i), j}] = v
+				scale = math.Max(scale, math.Abs(v))
+				if int(j) == i {
+					diag = v
+					continue
+				}
+				if v > 0 {
+					t.Fatalf("level %d: off-diagonal (%d,%d) = %g > 0", l, i, j, v)
+				}
+				offAbs -= v
+			}
+			if diag < offAbs*(1-1e-12) {
+				t.Fatalf("level %d row %d: diagonal %g < off-diagonal sum %g", l, i, diag, offAbs)
+			}
+			if math.Abs(got[i]-want[i]) > 1e-9*scale {
+				t.Fatalf("level %d: row sum %d = %g, want %g (children's)", l, i, got[i], want[i])
 			}
 		}
-		fineRow, fineOnes = want, ones
+		for ij, v := range entry {
+			if w, ok := entry[[2]int32{ij[1], ij[0]}]; !ok || w != v {
+				t.Fatalf("level %d: A[%d,%d] = %g but A[%d,%d] = %g", l, ij[0], ij[1], v, ij[1], ij[0], w)
+			}
+		}
+		fineSums = want
+	}
+}
+
+// TestMultigridUniformRediscretization: on a uniform stack the aggregated
+// operator is exactly the coarse grid's own discretization — each in-plane
+// coupling keeps its fine value (twice the face, twice the distance), each
+// vertical coupling is four fine ones (four times the area) — on every level.
+func TestMultigridUniformRediscretization(t *testing.T) {
+	const g, layers = 32, 3
+	mg, err := NewMultigrid(grid3D(g, layers), stackGeo(g, layers), MGOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l := 1; l < mg.Levels(); l++ {
+		lev, ac := mg.s.levels[l], mg.lv[l].a
+		nxy := lev.nx * lev.ny
+		vert := 5 * math.Pow(4, float64(l))
+		for i := 0; i < ac.N; i++ {
+			for k := ac.RowPtr[i]; k < ac.RowPtr[i+1]; k++ {
+				j := int(ac.Col[k])
+				want := -1.0
+				switch {
+				case j == i:
+					continue
+				case j/nxy != i/nxy:
+					want = -vert
+				}
+				if math.Abs(ac.Val[k]-want) > 1e-12*vert {
+					t.Fatalf("level %d: A[%d,%d] = %g, want %g", l, i, j, ac.Val[k], want)
+				}
+			}
+		}
+	}
+}
+
+// TestMultigridTransferAdjoint: the matrix-free restriction must be the
+// exact transpose of the prolongation, ⟨P·x, y⟩ = ⟨x, Pᵀ·y⟩, or the V-cycle
+// stops being symmetric. P must also reproduce constants.
+func TestMultigridTransferAdjoint(t *testing.T) {
+	const g, layers = 32, 3
+	mg, err := NewMultigrid(grid3D(g, layers), stackGeo(g, layers), MGOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	for l := 1; l < mg.Levels(); l++ {
+		nc, nf := mg.s.levels[l].n, mg.s.levels[l-1].n
+		x, px := make([]float64, nc), make([]float64, nf)
+		y, pty := make([]float64, nf), make([]float64, nc)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		for i := range y {
+			y[i] = rng.NormFloat64()
+		}
+		mg.prolongAdd(l, px, x)
+		mg.restrict(l, pty, y)
+		var lhs, rhs float64
+		for i := range px {
+			lhs += px[i] * y[i]
+		}
+		for i := range x {
+			rhs += x[i] * pty[i]
+		}
+		if math.Abs(lhs-rhs) > 1e-12*(math.Abs(lhs)+math.Abs(rhs)) {
+			t.Fatalf("level %d: <Px,y> = %.17g, <x,Pᵀy> = %.17g", l, lhs, rhs)
+		}
+		for i := range x {
+			x[i] = 1
+		}
+		clear(px)
+		mg.prolongAdd(l, px, x)
+		for i, v := range px {
+			if math.Abs(v-1) > 1e-15 {
+				t.Fatalf("level %d: P·1 = %g at fine node %d, want 1", l, v, i)
+			}
+		}
 	}
 }
 
@@ -88,13 +219,15 @@ func TestMultigridGalerkinConsistency(t *testing.T) {
 func TestMultigridApplySPD(t *testing.T) {
 	for _, tc := range []struct {
 		name string
+		a    *CSR
 		opt  MGOptions
 	}{
-		{"cholesky-coarsest", MGOptions{}},
-		{"gs-fallback-coarsest", MGOptions{CoarsestMaxDense: 1}},
+		{"cholesky-coarsest", grid3D(16, 4), MGOptions{}},
+		{"gs-fallback-coarsest", grid3D(16, 4), MGOptions{CoarsestMaxDense: 1}},
+		{"heterogeneous-stack", hetStack(16, 4, 3), MGOptions{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			a := grid3D(16, 4)
+			a := tc.a
 			mg, err := NewMultigrid(a, stackGeo(16, 4), tc.opt)
 			if err != nil {
 				t.Fatal(err)

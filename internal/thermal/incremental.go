@@ -109,6 +109,11 @@ func (m *Model) initIncremental(sources []Source) error {
 	m.plan = m.plan[:0]
 	m.assembleFull(true)
 	m.fixed = m.builder.BuildFixed()
+	// The Fixed keeps its own copy of every term, so the builder's
+	// coordinate triplets (tens of MB at fine grids) are dead from here on;
+	// drop them rather than pin them for the model's lifetime. The builder
+	// is not pre-sized either: growing it on demand costs less peak memory.
+	m.builder = sparse.NewBuilder(m.nNodes)
 	m.cg = sparse.NewCGSolver(m.fixed.Mat)
 	m.buildCellDeps()
 	g2 := m.grid * m.grid

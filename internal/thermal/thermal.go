@@ -150,9 +150,10 @@ type Model struct {
 	// lazily on the first mg-preconditioned solve and rebuilt only when the
 	// assembled matrix identity changes; valGen counts value-changing
 	// assemblies and the hierarchy is numerically re-coarsened whenever it
-	// advanced past mgGen, the generation of the last refresh. A refresh
-	// costs only a few V-cycles' worth of work, while preconditioning with a
-	// stale hierarchy measurably inflates iteration counts at fine grids
+	// advanced past mgGen, the generation of the last refresh. A refresh is
+	// one aggregation scatter over the matrix values plus the line factors —
+	// less work than a single V-cycle — while preconditioning with a stale
+	// hierarchy measurably inflates iteration counts at fine grids
 	// (anneal-scale footprint moves cross more cell boundaries there), so
 	// eager refresh wins; power-only re-solves and scenario batches leave the
 	// values untouched and skip it entirely. mgBaseIters remembers the
@@ -198,8 +199,7 @@ const maxIterPerGrid = 40
 // when a solve takes more than mgStaleIterFactor× the post-refresh baseline
 // iteration count (plus mgStaleIterSlack to ignore warm-start noise on tiny
 // baselines), the preconditioner is not doing its job and re-coarsening —
-// which costs only a few V-cycles' worth of work — pays for itself
-// immediately.
+// which costs less than one V-cycle — pays for itself immediately.
 const (
 	mgStaleIterFactor = 2
 	mgStaleIterSlack  = 4
@@ -568,6 +568,16 @@ func (m *Model) ensureMG(a *sparse.CSR) (*sparse.Multigrid, error) {
 		m.obs.Add("mg_setup", 1)
 	}
 	return m.mg, nil
+}
+
+// MGOperatorComplexity returns the operator complexity of the model's
+// multigrid hierarchy — stored operator entries over all levels per fine
+// entry — or 0 before the first multigrid-preconditioned solve.
+func (m *Model) MGOperatorComplexity() float64 {
+	if m.mg == nil {
+		return 0
+	}
+	return m.mg.OperatorComplexity()
 }
 
 // WarmState returns a copy of the temperature field of the model's last
