@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"tap25d/internal/faultinject"
 )
 
 // batchProblem builds a thermal-stack-like system with nrhs distinct
@@ -34,7 +36,7 @@ func cloneCols(xs [][]float64) [][]float64 {
 	return out
 }
 
-// forceBlocked makes SolveCGBatch pick its blocked engine even on a
+// forceBlocked makes SolveBatch pick its blocked engine even on a
 // single-core host: the engine switch tests parallelWorkers, which needs
 // GOMAXPROCS ≥ 2 and a system of at least ParallelThresholdRows rows. Tests
 // using it must pair it with a system of ≥ 2·parallelGrainRows rows.
@@ -46,9 +48,10 @@ func forceBlocked(t *testing.T) {
 
 // TestSolveCGBatchBitIdenticalToSerial: the batch contract — every column's
 // solution and iteration count must match solving that column alone, bit for
-// bit, on both the Jacobi and the multigrid-preconditioned path. The blocked
+// bit, with the Jacobi, SSOR and multigrid preconditioners. The blocked
 // engine needs a system above the parallel threshold, so the grid here is
-// 32×32×16 (16384 nodes); the sequential engine variant runs small.
+// 32×32×16 (16384 nodes); the sequential engine variant runs small. On both
+// engines the batch must not call OnIteration.
 func TestSolveCGBatchBitIdenticalToSerial(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -57,8 +60,10 @@ func TestSolveCGBatchBitIdenticalToSerial(t *testing.T) {
 		pre     func(t *testing.T, a *CSR, g, l int) Preconditioner
 	}{
 		{"sequential-jacobi", false, 16, 3, nil},
+		{"sequential-ssor", false, 16, 3, buildSSOR},
 		{"sequential-multigrid", false, 16, 3, buildMG},
 		{"blocked-jacobi", true, 32, 16, nil},
+		{"blocked-ssor", true, 32, 16, buildSSOR},
 		{"blocked-multigrid", true, 32, 16, buildMG},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -83,7 +88,9 @@ func TestSolveCGBatchBitIdenticalToSerial(t *testing.T) {
 			}
 
 			batchX := cloneCols(xs)
-			batchIt, err := SolveCGBatch(context.Background(), a, batchX, bs, opt)
+			batchOpt := opt
+			batchOpt.OnIteration = func(int, float64) { t.Error("OnIteration called during a batch solve") }
+			batchIt, err := NewCGSolver(a).SolveBatch(context.Background(), batchX, bs, batchOpt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,6 +107,8 @@ func TestSolveCGBatchBitIdenticalToSerial(t *testing.T) {
 		})
 	}
 }
+
+func buildSSOR(_ *testing.T, a *CSR, _, _ int) Preconditioner { return NewSSOR(a) }
 
 func buildMG(t *testing.T, a *CSR, g, l int) Preconditioner {
 	t.Helper()
@@ -122,7 +131,7 @@ func TestSolveCGBatchMixedConvergence(t *testing.T) {
 		xs[1][i] = 0.5
 	}
 	exact := make([]float64, a.N)
-	if _, err := SolveCG(a, exact, bs[2], CGOptions{Tol: 1e-14}); err != nil {
+	if _, err := NewCGSolver(a).Solve(exact, bs[2], CGOptions{Tol: 1e-14}); err != nil {
 		t.Fatal(err)
 	}
 	copy(xs[2], exact)
@@ -134,7 +143,7 @@ func TestSolveCGBatchMixedConvergence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	it, err := SolveCGBatch(context.Background(), a, xs, bs, CGOptions{Tol: 1e-9})
+	it, err := NewCGSolver(a).SolveBatch(context.Background(), xs, bs, CGOptions{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,15 +162,51 @@ func TestSolveCGBatchMixedConvergence(t *testing.T) {
 	}
 }
 
+// TestSolveBatchInjectionVisitsOnce: a batch visits PointCGSolve exactly
+// once whatever engine runs it and whatever the preconditioner, so an At or
+// Every spec fires on the same batch on every host.
+func TestSolveBatchInjectionVisitsOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		blocked bool
+		g, l    int
+		pre     func(t *testing.T, a *CSR, g, l int) Preconditioner
+	}{
+		{"sequential-jacobi", false, 16, 3, nil},
+		{"sequential-ssor", false, 16, 3, buildSSOR},
+		{"blocked-jacobi", true, 32, 16, nil},
+		{"blocked-ssor", true, 32, 16, buildSSOR},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.blocked {
+				forceBlocked(t)
+			}
+			a, xs, bs := batchProblem(tc.g, tc.l, 4, 3)
+			inj := faultinject.New(1)
+			inj.Arm(faultinject.PointCGSolve, faultinject.Spec{At: 1 << 30})
+			opt := CGOptions{Tol: 1e-8, Inject: inj}
+			if tc.pre != nil {
+				opt.Precond = tc.pre(t, a, tc.g, tc.l)
+			}
+			if _, err := NewCGSolver(a).SolveBatch(context.Background(), xs, bs, opt); err != nil {
+				t.Fatal(err)
+			}
+			if got := inj.Count(faultinject.PointCGSolve); got != 1 {
+				t.Fatalf("batch of %d columns visited PointCGSolve %d times, want 1", len(bs), got)
+			}
+		})
+	}
+}
+
 func TestSolveCGBatchSingleColumnDelegates(t *testing.T) {
 	a, rhs := chainSystem(128)
 	x := make([]float64, a.N)
 	want := make([]float64, a.N)
-	itW, err := SolveCG(a, want, rhs, CGOptions{})
+	itW, err := NewCGSolver(a).Solve(want, rhs, CGOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := SolveCGBatch(context.Background(), a, [][]float64{x}, [][]float64{rhs}, CGOptions{})
+	it, err := NewCGSolver(a).SolveBatch(context.Background(), [][]float64{x}, [][]float64{rhs}, CGOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,15 +222,15 @@ func TestSolveCGBatchSingleColumnDelegates(t *testing.T) {
 
 func TestSolveCGBatchDimensionMismatch(t *testing.T) {
 	a, rhs := chainSystem(32)
-	if _, err := SolveCGBatch(context.Background(), a, [][]float64{make([]float64, 31), make([]float64, 32)},
+	if _, err := NewCGSolver(a).SolveBatch(context.Background(), [][]float64{make([]float64, 31), make([]float64, 32)},
 		[][]float64{rhs, rhs}, CGOptions{}); err == nil {
 		t.Fatal("mismatched column accepted")
 	}
-	if _, err := SolveCGBatch(context.Background(), a, [][]float64{make([]float64, 32)},
+	if _, err := NewCGSolver(a).SolveBatch(context.Background(), [][]float64{make([]float64, 32)},
 		[][]float64{rhs, rhs}, CGOptions{}); err == nil {
 		t.Fatal("xs/bs length mismatch accepted")
 	}
-	if it, err := SolveCGBatch(context.Background(), a, nil, nil, CGOptions{}); it != nil || err != nil {
+	if it, err := NewCGSolver(a).SolveBatch(context.Background(), nil, nil, CGOptions{}); it != nil || err != nil {
 		t.Fatalf("empty batch returned (%v, %v)", it, err)
 	}
 }
@@ -206,7 +251,7 @@ func TestSolveCGBatchCanceled(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
 			xs := [][]float64{make([]float64, a.N), make([]float64, a.N)}
-			_, err := SolveCGBatch(ctx, a, xs, [][]float64{rhs, rhs}, CGOptions{Tol: 1e-12})
+			_, err := NewCGSolver(a).SolveBatch(ctx, xs, [][]float64{rhs, rhs}, CGOptions{Tol: 1e-12})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("error %v does not wrap context.Canceled", err)
 			}
@@ -228,7 +273,7 @@ func TestSolveCGBatchNoConvergence(t *testing.T) {
 			}
 			a, rhs := chainSystem(n)
 			xs := [][]float64{make([]float64, a.N), make([]float64, a.N)}
-			it, err := SolveCGBatch(context.Background(), a, xs, [][]float64{rhs, rhs},
+			it, err := NewCGSolver(a).SolveBatch(context.Background(), xs, [][]float64{rhs, rhs},
 				CGOptions{Tol: 1e-14, MaxIter: 3})
 			if !errors.Is(err, ErrNoConvergence) {
 				t.Fatalf("error %v does not wrap ErrNoConvergence", err)
@@ -253,7 +298,7 @@ func BenchmarkSolveCGBatch8(b *testing.B) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		work := cloneCols(xs)
-		if _, err := SolveCGBatch(context.Background(), a, work, bs, opt); err != nil {
+		if _, err := NewCGSolver(a).SolveBatch(context.Background(), work, bs, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -102,7 +102,7 @@ func TestFixedRefreshSlotMatchesRebuild(t *testing.T) {
 
 // TestCGSolverReuseMatchesFreshSolves: one CGSolver reused across in-place
 // matrix updates and warm-started solves must produce solutions and iteration
-// counts bit-identical to independent SolveCG calls with the same history.
+// counts bit-identical to fresh solvers run with the same history.
 func TestCGSolverReuseMatchesFreshSolves(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	const n = 160
@@ -149,7 +149,7 @@ func TestCGSolverReuseMatchesFreshSolves(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: reused: %v", round, err)
 		}
-		itFresh, err := SolveCG(replay(n, seq, conds), xFresh, rhs, CGOptions{Tol: 1e-9})
+		itFresh, err := NewCGSolver(replay(n, seq, conds)).Solve(xFresh, rhs, CGOptions{Tol: 1e-9})
 		if err != nil {
 			t.Fatalf("round %d: fresh: %v", round, err)
 		}
@@ -294,6 +294,45 @@ func BenchmarkSolveCG(b *testing.B) {
 	}
 }
 
+// TestCGSolverWarmSolveAllocationFree: a warm CGSolver solves without
+// allocating, whatever the preconditioner — the single-column path reuses the
+// solver's own scratch and column headers.
+func TestCGSolverWarmSolveAllocationFree(t *testing.T) {
+	const g, l = 16, 4
+	a := grid3D(g, l)
+	rhs := make([]float64, a.N)
+	for i := range rhs {
+		rhs[i] = float64(i%7) + 1
+	}
+	for _, tc := range []struct {
+		name string
+		pre  func(t *testing.T, a *CSR, g, l int) Preconditioner
+	}{
+		{"jacobi", nil},
+		{"ssor", buildSSOR},
+		{"multigrid", buildMG},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := CGOptions{Tol: 1e-8}
+			if tc.pre != nil {
+				opt.Precond = tc.pre(t, a, g, l)
+			}
+			s := NewCGSolver(a)
+			x := make([]float64, a.N)
+			solve := func() {
+				clear(x)
+				if _, err := s.Solve(x, rhs, opt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			solve()
+			if allocs := testing.AllocsPerRun(5, solve); allocs != 0 {
+				t.Fatalf("warm solve allocated %v times per run, want 0", allocs)
+			}
+		})
+	}
+}
+
 // TestOnIterationObservesResiduals: the OnIteration hook must fire once per
 // iteration (plus the initial residual at iteration 0), report monotonically
 // identifiable residual values the solver itself computed, and leave the
@@ -305,7 +344,7 @@ func TestOnIterationObservesResiduals(t *testing.T) {
 	a.MulVec(rhs, want)
 
 	plain := make([]float64, 120)
-	itPlain, err := SolveCG(a, plain, rhs, CGOptions{Tol: 1e-10})
+	itPlain, err := NewCGSolver(a).Solve(plain, rhs, CGOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +352,7 @@ func TestOnIterationObservesResiduals(t *testing.T) {
 	var iters []int
 	var residuals []float64
 	hooked := make([]float64, 120)
-	itHooked, err := SolveCG(a, hooked, rhs, CGOptions{
+	itHooked, err := NewCGSolver(a).Solve(hooked, rhs, CGOptions{
 		Tol: 1e-10,
 		OnIteration: func(it int, res float64) {
 			iters = append(iters, it)
@@ -357,7 +396,7 @@ func TestOnIterationWarmConverged(t *testing.T) {
 	x := make([]float64, 60)
 	copy(x, want)
 	var calls int
-	it, err := SolveCG(a, x, rhs, CGOptions{
+	it, err := NewCGSolver(a).Solve(x, rhs, CGOptions{
 		Tol:         1e-6,
 		OnIteration: func(int, float64) { calls++ },
 	})

@@ -68,7 +68,7 @@ func TestSolveCGContextFreeFunction(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	x := make([]float64, a.N)
-	if _, err := SolveCGContext(ctx, a, x, rhs, CGOptions{Tol: 1e-13}); !errors.Is(err, context.Canceled) {
+	if _, err := NewCGSolver(a).SolveContext(ctx, x, rhs, CGOptions{Tol: 1e-13}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SolveCGContext error = %v, want context.Canceled", err)
 	}
 }

@@ -575,10 +575,16 @@ func (mg *Multigrid) aggregate(l int) {
 	}
 }
 
-// Apply runs one V-cycle: z ≈ A⁻¹·r. It implements Preconditioner.
-func (mg *Multigrid) Apply(z, r []float64) {
+// Apply runs one V-cycle, z ≈ A⁻¹·r, and returns r·z. It implements
+// Preconditioner.
+func (mg *Multigrid) Apply(z, r []float64) float64 {
 	mg.cycles++
 	mg.vcycle(0, z, r)
+	var rz float64
+	for i := range z {
+		rz += r[i] * z[i]
+	}
+	return rz
 }
 
 func (mg *Multigrid) mulVec(d *mgLevelData, y, x []float64) {

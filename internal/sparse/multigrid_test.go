@@ -270,7 +270,7 @@ func TestMultigridCGAgreesWithJacobi(t *testing.T) {
 		rhs[i] = rng.Float64()
 	}
 	xj := make([]float64, a.N)
-	itJ, err := SolveCG(a, xj, rhs, CGOptions{Tol: 1e-10})
+	itJ, err := NewCGSolver(a).Solve(xj, rhs, CGOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestMultigridCGAgreesWithJacobi(t *testing.T) {
 		t.Fatal(err)
 	}
 	xm := make([]float64, a.N)
-	itM, err := SolveCG(a, xm, rhs, CGOptions{Tol: 1e-10, Precond: mg})
+	itM, err := NewCGSolver(a).Solve(xm, rhs, CGOptions{Tol: 1e-10, Precond: mg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestMultigridIterationScaling(t *testing.T) {
 			rhs[i] = rng.Float64()
 		}
 		x := make([]float64, a.N)
-		it, err := SolveCG(a, x, rhs, CGOptions{Tol: 1e-8, Precond: mg})
+		it, err := NewCGSolver(a).Solve(x, rhs, CGOptions{Tol: 1e-8, Precond: mg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +345,7 @@ func TestMultigridRefreshTracksValues(t *testing.T) {
 		rhs[i] = rng.Float64()
 	}
 	x := make([]float64, a.N)
-	itFresh, err := SolveCG(a, x, rhs, CGOptions{Tol: 1e-10, Precond: mg})
+	itFresh, err := NewCGSolver(a).Solve(x, rhs, CGOptions{Tol: 1e-10, Precond: mg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,11 +354,11 @@ func TestMultigridRefreshTracksValues(t *testing.T) {
 	}
 	// Stale hierarchy: still converges, to the correct (scaled) solution.
 	want := make([]float64, a.N)
-	if _, err := SolveCG(a, want, rhs, CGOptions{Tol: 1e-12}); err != nil {
+	if _, err := NewCGSolver(a).Solve(want, rhs, CGOptions{Tol: 1e-12}); err != nil {
 		t.Fatal(err)
 	}
 	xStale := make([]float64, a.N)
-	if _, err := SolveCG(a, xStale, rhs, CGOptions{Tol: 1e-10, Precond: mg}); err != nil {
+	if _, err := NewCGSolver(a).Solve(xStale, rhs, CGOptions{Tol: 1e-10, Precond: mg}); err != nil {
 		t.Fatalf("stale-precond solve failed: %v", err)
 	}
 	var scale float64
@@ -378,7 +378,7 @@ func TestMultigridRefreshTracksValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	xNew := make([]float64, a.N)
-	itRefreshed, err := SolveCG(a, xNew, rhs, CGOptions{Tol: 1e-10, Precond: mg})
+	itRefreshed, err := NewCGSolver(a).Solve(xNew, rhs, CGOptions{Tol: 1e-10, Precond: mg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,15 @@
 // Package sparse provides the sparse linear algebra needed by the thermal
 // solver: compressed sparse row (CSR) matrices assembled from coordinate
-// triplets, and iterative solvers (Jacobi-preconditioned conjugate gradient
-// and symmetric Gauss-Seidel) for the symmetric positive-definite conductance
-// systems G·T = P arising from the finite-difference thermal model.
+// triplets, and one preconditioned conjugate-gradient kernel (CGSolver) for
+// the symmetric positive-definite conductance systems G·T = P arising from
+// the finite-difference thermal model, solving one right-hand side or a
+// blocked batch of them. Jacobi (the default), SSOR and geometric multigrid
+// plug into that kernel as Preconditioners.
 package sparse
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"tap25d/internal/faultinject"
@@ -212,13 +212,16 @@ func (m *CSR) At(i, j int) float64 {
 var ErrNoConvergence = errors.New("sparse: solver did not converge")
 
 // Preconditioner approximates the inverse of the system matrix: Apply
-// overwrites z with M⁻¹·r. For conjugate gradients to remain valid the
-// operator must be linear, symmetric positive definite, and fixed for the
-// duration of one solve (it may change freely between solves — the
-// convergence test uses the true residual, so a stale-but-SPD preconditioner
-// affects only the iteration count, never the answer).
+// overwrites z with M⁻¹·r and returns r·z, summed in ascending index order
+// (returning the dot lets Jacobi scale and accumulate in one pass). For
+// conjugate gradients to remain valid the operator must be linear,
+// symmetric positive definite, and fixed for the duration of one solve (it
+// may change freely between solves — the convergence test uses the true
+// residual, so a stale-but-SPD preconditioner affects only the iteration
+// count, never the answer). The package provides Jacobi (a nil
+// CGOptions.Precond), SSOR and Multigrid.
 type Preconditioner interface {
-	Apply(z, r []float64)
+	Apply(z, r []float64) float64
 }
 
 // CGOptions configures the conjugate-gradient solver.
@@ -231,111 +234,17 @@ type CGOptions struct {
 	// residual norm ‖b−Ax‖₂ after that iteration; iteration 0 reports the
 	// initial (warm-start) residual. The hook observes values the solver
 	// already computes, so it cannot perturb the arithmetic; when nil the
-	// only cost is one pointer test per iteration.
+	// only cost is one pointer test per iteration. Single solves only:
+	// SolveBatch never calls it.
 	OnIteration func(iter int, residual float64)
-	// Precond, when non-nil, replaces the built-in Jacobi preconditioner in
-	// CGSolver.SolveContext / SolveCG / SolveCGContext (SolveCGSSOR and
-	// SolveGaussSeidel ignore it — they embody their own preconditioners).
-	// A nil Precond keeps the historical Jacobi path, bit for bit; a non-nil
-	// one branches to a separate preconditioned loop before the Jacobi setup
-	// runs, so it cannot perturb default-path arithmetic.
+	// Precond is the preconditioner of the solve — an *SSOR, a *Multigrid
+	// or any other Preconditioner. nil means Jacobi (diagonal scaling),
+	// refreshed from the matrix's current diagonal on every solve.
 	Precond Preconditioner
-	// Inject, when armed at faultinject.PointCGSolve, makes the solve fail
-	// before iterating with an error matching both ErrNoConvergence and
+	// Inject, when armed at faultinject.PointCGSolve, is visited once per
+	// solve or batch; a firing visit makes it fail before iterating with an
+	// error matching both ErrNoConvergence and
 	// faultinject.ErrInjected, exercising the thermal recovery ladder
 	// deterministically in tests. A nil Injector costs one pointer test.
 	Inject *faultinject.Injector
-}
-
-// SolveCG solves A·x = b for symmetric positive-definite A using
-// Jacobi-preconditioned conjugate gradients. x is used as the initial guess
-// (a warm start from the previous SA step speeds the placer up considerably)
-// and is overwritten with the solution. It returns the iteration count.
-//
-// SolveCG sets up a fresh CGSolver per call; callers solving repeatedly
-// against one matrix should hold a CGSolver to reuse its scratch buffers and
-// diagonal index map.
-func SolveCG(a *CSR, x, b []float64, opt CGOptions) (int, error) {
-	return NewCGSolver(a).Solve(x, b, opt)
-}
-
-// SolveCGContext is SolveCG with cooperative cancellation; see
-// CGSolver.SolveContext for the polling contract.
-func SolveCGContext(ctx context.Context, a *CSR, x, b []float64, opt CGOptions) (int, error) {
-	return NewCGSolver(a).SolveContext(ctx, x, b, opt)
-}
-
-// SolveGaussSeidel performs symmetric Gauss-Seidel sweeps on A·x = b until the
-// relative residual drops below tol or maxIter sweeps elapse. It is slower
-// than CG on large systems but useful as an independent cross-check in tests.
-func SolveGaussSeidel(a *CSR, x, b []float64, tol float64, maxIter int) (int, error) {
-	n := a.N
-	if len(x) != n || len(b) != n {
-		return 0, fmt.Errorf("sparse: SolveGaussSeidel dimension mismatch")
-	}
-	if tol <= 0 {
-		tol = 1e-8
-	}
-	if maxIter <= 0 {
-		maxIter = 10 * n
-	}
-	diag := a.Diag()
-	for i, d := range diag {
-		if d == 0 {
-			return 0, fmt.Errorf("sparse: zero diagonal at row %d", i)
-		}
-	}
-	var bnorm float64
-	for _, v := range b {
-		bnorm += v * v
-	}
-	bnorm = math.Sqrt(bnorm)
-	if bnorm == 0 {
-		for i := range x {
-			x[i] = 0
-		}
-		return 0, nil
-	}
-
-	sweep := func(forward bool) {
-		if forward {
-			for i := 0; i < n; i++ {
-				s := b[i]
-				for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-					j := int(a.Col[k])
-					if j != i {
-						s -= a.Val[k] * x[j]
-					}
-				}
-				x[i] = s / diag[i]
-			}
-		} else {
-			for i := n - 1; i >= 0; i-- {
-				s := b[i]
-				for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-					j := int(a.Col[k])
-					if j != i {
-						s -= a.Val[k] * x[j]
-					}
-				}
-				x[i] = s / diag[i]
-			}
-		}
-	}
-
-	r := make([]float64, n)
-	for it := 1; it <= maxIter; it++ {
-		sweep(true)
-		sweep(false)
-		a.MulVec(r, x)
-		var rnorm float64
-		for i := range r {
-			d := b[i] - r[i]
-			rnorm += d * d
-		}
-		if math.Sqrt(rnorm) <= tol*bnorm {
-			return it, nil
-		}
-	}
-	return maxIter, ErrNoConvergence
 }

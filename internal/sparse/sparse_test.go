@@ -1,10 +1,86 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
+
+// solveGaussSeidel performs symmetric Gauss-Seidel sweeps on A·x = b until the
+// relative residual drops below tol or maxIter sweeps elapse. It is slower
+// than CG on large systems but useful as an independent cross-check.
+func solveGaussSeidel(a *CSR, x, b []float64, tol float64, maxIter int) (int, error) {
+	n := a.N
+	if len(x) != n || len(b) != n {
+		return 0, fmt.Errorf("sparse: solveGaussSeidel dimension mismatch")
+	}
+	if tol <= 0 {
+		tol = 1e-8
+	}
+	if maxIter <= 0 {
+		maxIter = 10 * n
+	}
+	diag := a.Diag()
+	for i, d := range diag {
+		if d == 0 {
+			return 0, fmt.Errorf("sparse: zero diagonal at row %d", i)
+		}
+	}
+	var bnorm float64
+	for _, v := range b {
+		bnorm += v * v
+	}
+	bnorm = math.Sqrt(bnorm)
+	if bnorm == 0 {
+		for i := range x {
+			x[i] = 0
+		}
+		return 0, nil
+	}
+
+	sweep := func(forward bool) {
+		if forward {
+			for i := 0; i < n; i++ {
+				s := b[i]
+				for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+					j := int(a.Col[k])
+					if j != i {
+						s -= a.Val[k] * x[j]
+					}
+				}
+				x[i] = s / diag[i]
+			}
+		} else {
+			for i := n - 1; i >= 0; i-- {
+				s := b[i]
+				for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+					j := int(a.Col[k])
+					if j != i {
+						s -= a.Val[k] * x[j]
+					}
+				}
+				x[i] = s / diag[i]
+			}
+		}
+	}
+
+	r := make([]float64, n)
+	for it := 1; it <= maxIter; it++ {
+		sweep(true)
+		sweep(false)
+		a.MulVec(r, x)
+		var rnorm float64
+		for i := range r {
+			d := b[i] - r[i]
+			rnorm += d * d
+		}
+		if math.Sqrt(rnorm) <= tol*bnorm {
+			return it, nil
+		}
+	}
+	return maxIter, ErrNoConvergence
+}
 
 // laplacian1D builds the n-node 1D Laplacian with unit conductances and a
 // grounding conductance g0 on node 0, which makes it SPD.
@@ -126,7 +202,7 @@ func TestSolveCGRecoversSolution(t *testing.T) {
 		rhs := make([]float64, n)
 		a.MulVec(rhs, want)
 		got := make([]float64, n)
-		if _, err := SolveCG(a, got, rhs, CGOptions{Tol: 1e-10}); err != nil {
+		if _, err := NewCGSolver(a).Solve(got, rhs, CGOptions{Tol: 1e-10}); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for i := range want {
@@ -144,14 +220,14 @@ func TestSolveCGWarmStart(t *testing.T) {
 	a.MulVec(rhs, want)
 
 	cold := make([]float64, 200)
-	itCold, err := SolveCG(a, cold, rhs, CGOptions{Tol: 1e-10})
+	itCold, err := NewCGSolver(a).Solve(cold, rhs, CGOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Warm start from the exact solution should converge immediately.
 	warm := make([]float64, 200)
 	copy(warm, want)
-	itWarm, err := SolveCG(a, warm, rhs, CGOptions{Tol: 1e-10})
+	itWarm, err := NewCGSolver(a).Solve(warm, rhs, CGOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +242,7 @@ func TestSolveCGZeroRHS(t *testing.T) {
 	for i := range x {
 		x[i] = 5
 	}
-	it, err := SolveCG(a, x, make([]float64, 10), CGOptions{})
+	it, err := NewCGSolver(a).Solve(x, make([]float64, 10), CGOptions{})
 	if err != nil || it != 0 {
 		t.Fatalf("zero RHS: it=%d err=%v", it, err)
 	}
@@ -179,7 +255,7 @@ func TestSolveCGZeroRHS(t *testing.T) {
 
 func TestSolveCGDimensionMismatch(t *testing.T) {
 	a := laplacian1D(4, 1)
-	if _, err := SolveCG(a, make([]float64, 3), make([]float64, 4), CGOptions{}); err == nil {
+	if _, err := NewCGSolver(a).Solve(make([]float64, 3), make([]float64, 4), CGOptions{}); err == nil {
 		t.Error("expected dimension mismatch error")
 	}
 }
@@ -189,7 +265,7 @@ func TestSolveCGRejectsNonSPD(t *testing.T) {
 	b.Add(0, 0, -1)
 	b.Add(1, 1, 1)
 	a := b.Build()
-	if _, err := SolveCG(a, make([]float64, 2), []float64{1, 1}, CGOptions{}); err == nil {
+	if _, err := NewCGSolver(a).Solve(make([]float64, 2), []float64{1, 1}, CGOptions{}); err == nil {
 		t.Error("expected non-SPD error")
 	}
 }
@@ -198,7 +274,7 @@ func TestSolveCGNoConvergence(t *testing.T) {
 	a := laplacian1D(50, 1e-9) // nearly singular
 	rhs := make([]float64, 50)
 	rhs[25] = 1
-	_, err := SolveCG(a, make([]float64, 50), rhs, CGOptions{Tol: 1e-14, MaxIter: 2})
+	_, err := NewCGSolver(a).Solve(make([]float64, 50), rhs, CGOptions{Tol: 1e-14, MaxIter: 2})
 	if err != ErrNoConvergence {
 		t.Errorf("err = %v, want ErrNoConvergence", err)
 	}
@@ -211,11 +287,11 @@ func TestGaussSeidelAgreesWithCG(t *testing.T) {
 	a.MulVec(rhs, want)
 
 	xc := make([]float64, 80)
-	if _, err := SolveCG(a, xc, rhs, CGOptions{Tol: 1e-10}); err != nil {
+	if _, err := NewCGSolver(a).Solve(xc, rhs, CGOptions{Tol: 1e-10}); err != nil {
 		t.Fatal(err)
 	}
 	xg := make([]float64, 80)
-	if _, err := SolveGaussSeidel(a, xg, rhs, 1e-10, 100000); err != nil {
+	if _, err := solveGaussSeidel(a, xg, rhs, 1e-10, 100000); err != nil {
 		t.Fatal(err)
 	}
 	for i := range xc {
@@ -230,7 +306,7 @@ func TestGaussSeidelZeroDiagonal(t *testing.T) {
 	b.Add(0, 1, 1)
 	b.Add(1, 0, 1)
 	a := b.Build()
-	if _, err := SolveGaussSeidel(a, make([]float64, 2), []float64{1, 1}, 1e-8, 10); err == nil {
+	if _, err := solveGaussSeidel(a, make([]float64, 2), []float64{1, 1}, 1e-8, 10); err == nil {
 		t.Error("expected zero-diagonal error")
 	}
 }
@@ -238,7 +314,7 @@ func TestGaussSeidelZeroDiagonal(t *testing.T) {
 func TestGaussSeidelZeroRHS(t *testing.T) {
 	a := laplacian1D(5, 1)
 	x := []float64{1, 2, 3, 4, 5}
-	if _, err := SolveGaussSeidel(a, x, make([]float64, 5), 1e-8, 10); err != nil {
+	if _, err := solveGaussSeidel(a, x, make([]float64, 5), 1e-8, 10); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range x {
@@ -274,7 +350,7 @@ func BenchmarkCG2DGrid64(b *testing.B) {
 		for j := range x {
 			x[j] = 0
 		}
-		if _, err := SolveCG(a, x, rhs, CGOptions{Tol: 1e-8}); err != nil {
+		if _, err := NewCGSolver(a).Solve(x, rhs, CGOptions{Tol: 1e-8}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,147 +1,58 @@
 package sparse
 
-import (
-	"context"
-	"fmt"
-	"math"
-
-	"tap25d/internal/faultinject"
-)
-
-// SolveCGSSOR solves A·x = b for symmetric positive-definite A using
-// conjugate gradients with a symmetric Gauss-Seidel (SSOR, ω=1)
-// preconditioner M = (D+L)·D⁻¹·(D+L)ᵀ. The preconditioner is strictly
-// stronger than the Jacobi scaling used by CGSolver — each application costs
-// one forward and one backward triangular sweep, O(nnz), instead of a
-// diagonal scale — which makes it the recovery ladder's fallback when the
-// Jacobi-preconditioned solve fails to converge within its budget.
+// SSOR is the symmetric Gauss-Seidel (SSOR, ω = 1) preconditioner
+// M = (D+L)·D⁻¹·(D+L)ᵀ of a bound matrix. It is strictly stronger than the
+// Jacobi scaling — each application costs one forward and one backward
+// triangular sweep, O(nnz), instead of a diagonal scale — which makes it the
+// thermal recovery ladder's fallback when a solve fails to converge within
+// its budget.
 //
-// x is the initial guess and is overwritten with the solution; the iteration
-// count is returned. Like CGSolver.SolveContext, the loop polls ctx every
-// cancelCheckInterval iterations.
-func SolveCGSSOR(ctx context.Context, a *CSR, x, b []float64, opt CGOptions) (int, error) {
+// Apply reads the matrix's current values, so they may change between
+// solves with no refresh. Every row must store a positive diagonal, which
+// CGSolver checks before the first Apply of each solve. An SSOR is not safe
+// for concurrent use (the sweeps share one scratch vector).
+type SSOR struct {
+	a        *CSR
+	diagSlot []int32
+	y        []float64
+}
+
+// NewSSOR binds an SSOR preconditioner to a, allocating its scratch once.
+func NewSSOR(a *CSR) *SSOR {
+	return &SSOR{a: a, diagSlot: findDiagSlots(a.N, a.RowPtr, a.Col), y: make([]float64, a.N)}
+}
+
+// Apply solves M·z = r via (D+L)·y = r, then (D+L)ᵀ·z = D·y, and returns r·z.
+// It implements Preconditioner.
+func (m *SSOR) Apply(z, r []float64) float64 {
+	a, y := m.a, m.y
 	n := a.N
-	if len(x) != n || len(b) != n {
-		return 0, fmt.Errorf("sparse: SolveCGSSOR dimension mismatch: n=%d len(x)=%d len(b)=%d", n, len(x), len(b))
-	}
-	if err := opt.Inject.Hit(faultinject.PointCGSolve); err != nil {
-		return 0, fmt.Errorf("sparse: %w: %w", ErrNoConvergence, err)
-	}
-	tol := opt.Tol
-	if tol <= 0 {
-		tol = 1e-8
-	}
-	maxIter := opt.MaxIter
-	if maxIter <= 0 {
-		maxIter = 10 * n
-	}
-
-	diag := a.Diag()
-	for i, d := range diag {
-		if d <= 0 {
-			return 0, fmt.Errorf("sparse: non-positive diagonal at row %d (%g); matrix not SPD", i, d)
-		}
-	}
-
-	// applyPrecond solves M·z = r via (D+L)y = r, then (D+L)ᵀz = D·y.
-	// The backward sweep reuses z as the scratch for D·y.
-	y := make([]float64, n)
-	applyPrecond := func(z, r []float64) {
-		// Forward substitution with the strictly-lower part.
-		for i := 0; i < n; i++ {
-			s := r[i]
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				j := int(a.Col[k])
-				if j < i {
-					s -= a.Val[k] * y[j]
-				}
+	// Forward substitution with the strictly-lower part.
+	for i := 0; i < n; i++ {
+		s := r[i]
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			j := int(a.Col[k])
+			if j < i {
+				s -= a.Val[k] * y[j]
 			}
-			y[i] = s / diag[i]
 		}
-		// Backward substitution with the strictly-upper part on D·y.
-		for i := n - 1; i >= 0; i-- {
-			s := diag[i] * y[i]
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				j := int(a.Col[k])
-				if j > i {
-					s -= a.Val[k] * z[j]
-				}
+		y[i] = s / a.Val[m.diagSlot[i]]
+	}
+	// Backward substitution with the strictly-upper part on D·y.
+	for i := n - 1; i >= 0; i-- {
+		d := a.Val[m.diagSlot[i]]
+		s := d * y[i]
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			j := int(a.Col[k])
+			if j > i {
+				s -= a.Val[k] * z[j]
 			}
-			z[i] = s / diag[i]
 		}
+		z[i] = s / d
 	}
-
-	r := make([]float64, n)
-	z := make([]float64, n)
-	p := make([]float64, n)
-	ap := make([]float64, n)
-
-	a.MulVec(r, x)
-	var bnorm, rnorm0 float64
-	for i := range r {
-		r[i] = b[i] - r[i]
-		bnorm += b[i] * b[i]
-		rnorm0 += r[i] * r[i]
-	}
-	bnorm = math.Sqrt(bnorm)
-	if opt.OnIteration != nil {
-		opt.OnIteration(0, math.Sqrt(rnorm0))
-	}
-	if bnorm == 0 {
-		for i := range x {
-			x[i] = 0
-		}
-		return 0, nil
-	}
-	if math.Sqrt(rnorm0) <= tol*bnorm {
-		return 0, nil
-	}
-
-	applyPrecond(z, r)
 	var rz float64
-	for i := range z {
+	for i := range z[:n] {
 		rz += r[i] * z[i]
 	}
-	copy(p, z)
-
-	for it := 1; it <= maxIter; it++ {
-		if it%cancelCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return it, fmt.Errorf("sparse: CG canceled after %d iterations: %w", it-1, err)
-			}
-		}
-		a.MulVec(ap, p)
-		var pap float64
-		for i := range p {
-			pap += p[i] * ap[i]
-		}
-		if pap <= 0 {
-			return it, fmt.Errorf("sparse: p'Ap = %g <= 0; matrix not SPD", pap)
-		}
-		alpha := rz / pap
-		var rnorm float64
-		for i := range x {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * ap[i]
-			rnorm += r[i] * r[i]
-		}
-		res := math.Sqrt(rnorm)
-		if opt.OnIteration != nil {
-			opt.OnIteration(it, res)
-		}
-		if res <= tol*bnorm {
-			return it, nil
-		}
-		applyPrecond(z, r)
-		var rzNew float64
-		for i := range z {
-			rzNew += r[i] * z[i]
-		}
-		beta := rzNew / rz
-		rz = rzNew
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
-	}
-	return maxIter, ErrNoConvergence
+	return rz
 }

@@ -17,7 +17,7 @@ func TestSolveCGSSORContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	x := make([]float64, a.N)
-	it, err := SolveCGSSOR(ctx, a, x, rhs, CGOptions{Tol: 1e-12})
+	it, err := solveSSOR(ctx, a, x, rhs, CGOptions{Tol: 1e-12})
 	if err == nil {
 		t.Fatal("canceled SSOR solve returned no error")
 	}
@@ -36,10 +36,10 @@ func TestSolveCGSSORUncanceledBitIdentical(t *testing.T) {
 	a, rhs := chainSystem(300)
 	x1 := make([]float64, a.N)
 	x2 := make([]float64, a.N)
-	it1, err1 := SolveCGSSOR(context.Background(), a, x1, rhs, CGOptions{})
+	it1, err1 := solveSSOR(context.Background(), a, x1, rhs, CGOptions{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	it2, err2 := SolveCGSSOR(ctx, a, x2, rhs, CGOptions{})
+	it2, err2 := solveSSOR(ctx, a, x2, rhs, CGOptions{})
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}

@@ -29,6 +29,12 @@ func laplacian2D(n int) *CSR {
 	return b.Build()
 }
 
+// solveSSOR runs one SSOR-preconditioned solve through a fresh CGSolver.
+func solveSSOR(ctx context.Context, a *CSR, x, b []float64, opt CGOptions) (int, error) {
+	opt.Precond = NewSSOR(a)
+	return NewCGSolver(a).SolveContext(ctx, x, b, opt)
+}
+
 func TestSolveCGSSORMatchesCG(t *testing.T) {
 	a := laplacian2D(20)
 	n := a.N
@@ -40,10 +46,10 @@ func TestSolveCGSSORMatchesCG(t *testing.T) {
 	xj := make([]float64, n)
 	xs := make([]float64, n)
 	opt := CGOptions{Tol: 1e-10}
-	if _, err := SolveCG(a, xj, bvec, opt); err != nil {
+	if _, err := NewCGSolver(a).Solve(xj, bvec, opt); err != nil {
 		t.Fatalf("Jacobi CG: %v", err)
 	}
-	if _, err := SolveCGSSOR(context.Background(), a, xs, bvec, opt); err != nil {
+	if _, err := solveSSOR(context.Background(), a, xs, bvec, opt); err != nil {
 		t.Fatalf("SSOR CG: %v", err)
 	}
 	for i := range xj {
@@ -63,11 +69,11 @@ func TestSolveCGSSORConvergesFasterIterations(t *testing.T) {
 	xj := make([]float64, n)
 	xs := make([]float64, n)
 	opt := CGOptions{Tol: 1e-9}
-	itJ, err := SolveCG(a, xj, bvec, opt)
+	itJ, err := NewCGSolver(a).Solve(xj, bvec, opt)
 	if err != nil {
 		t.Fatalf("Jacobi CG: %v", err)
 	}
-	itS, err := SolveCGSSOR(context.Background(), a, xs, bvec, opt)
+	itS, err := solveSSOR(context.Background(), a, xs, bvec, opt)
 	if err != nil {
 		t.Fatalf("SSOR CG: %v", err)
 	}
@@ -86,7 +92,7 @@ func TestSolveCGSSORBudgetExhaustion(t *testing.T) {
 		bvec[i] = 1
 	}
 	x := make([]float64, n)
-	_, err := SolveCGSSOR(context.Background(), a, x, bvec, CGOptions{Tol: 1e-14, MaxIter: 1})
+	_, err := solveSSOR(context.Background(), a, x, bvec, CGOptions{Tol: 1e-14, MaxIter: 1})
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("want ErrNoConvergence, got %v", err)
 	}
@@ -105,13 +111,13 @@ func TestCGInjectedFaultMatchesNoConvergence(t *testing.T) {
 	x := make([]float64, n)
 	opt := CGOptions{Inject: inj}
 	// First solve passes through untouched.
-	if _, err := SolveCG(a, x, bvec, opt); err != nil {
+	if _, err := NewCGSolver(a).Solve(x, bvec, opt); err != nil {
 		t.Fatalf("first solve: %v", err)
 	}
 	// Second solve hits the armed point; the error must look like a real
 	// non-convergence AND be identifiable as injected.
 	x2 := make([]float64, n)
-	_, err := SolveCG(a, x2, bvec, opt)
+	_, err := NewCGSolver(a).Solve(x2, bvec, opt)
 	if err == nil {
 		t.Fatal("armed injector did not fire")
 	}
@@ -123,7 +129,7 @@ func TestCGInjectedFaultMatchesNoConvergence(t *testing.T) {
 	}
 	// Third solve passes again (At fires exactly once).
 	x3 := make([]float64, n)
-	if _, err := SolveCG(a, x3, bvec, opt); err != nil {
+	if _, err := NewCGSolver(a).Solve(x3, bvec, opt); err != nil {
 		t.Fatalf("third solve: %v", err)
 	}
 }

@@ -77,6 +77,7 @@ func (m *Model) SolveLiquid(sources []Source, lc LiquidCooling) (*Result, error)
 	inletRise := lc.InletC - m.stack.AmbientC            // may be negative (coolant below ambient)
 	t := make([]float64, m.nNodes)
 	rhs := make([]float64, m.nNodes)
+	cg := sparse.NewCGSolver(a)
 
 	var res *Result
 	for iter := 0; iter < 6; iter++ {
@@ -89,7 +90,7 @@ func (m *Model) SolveLiquid(sources []Source, lc LiquidCooling) (*Result, error)
 				rhs[m.sinkNode(i, j)] += gCell * (inletRise + coolRise[j])
 			}
 		}
-		if _, err := sparse.SolveCG(a, t, rhs, sparse.CGOptions{Tol: m.tol, MaxIter: m.maxIter}); err != nil {
+		if _, err := cg.Solve(t, rhs, sparse.CGOptions{Tol: m.tol, MaxIter: m.maxIter}); err != nil {
 			return nil, fmt.Errorf("thermal: liquid solve: %w", err)
 		}
 		// Coolant energy balance: heat absorbed in columns 0..j-1 warms the

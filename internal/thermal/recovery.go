@@ -23,7 +23,7 @@ type RecoveryInfo struct {
 	// the warm-started attempt failed to converge.
 	ColdRestarts int `json:"cold_restarts"`
 	// PrecondFallback reports that the solve escalated to the stronger
-	// SSOR-preconditioned CG variant.
+	// SSOR preconditioner.
 	PrecondFallback bool `json:"precond_fallback"`
 	// RelaxedTol is the loosened tolerance of the last-resort rung, zero when
 	// that rung never ran.
@@ -40,27 +40,18 @@ func (m *Model) coldGuess() {
 	}
 }
 
-// runCG performs one CG attempt on the assembled system with the model's
-// observability trace attached, reusing cg's scratch when available. The
-// model's resolved preconditioner picks the solver variant: "ssor" routes to
-// the standalone SSOR-preconditioned CG, "mg" arrives via opt.Precond (set by
-// solveAssembled), and "jacobi" is the historical fused path.
-func (m *Model) runCG(ctx context.Context, a *sparse.CSR, cg *sparse.CGSolver, opt sparse.CGOptions) (int, error) {
+// runCG performs one CG attempt on the assembled system, from m.temps in
+// place, with the model's observability trace attached. opt.Precond carries
+// the preconditioner — the model's own (see preconditioner), or SSOR on the
+// recovery ladder's fallback rungs — so every attempt, rescue rungs
+// included, is traced.
+func (m *Model) runCG(ctx context.Context, cg *sparse.CGSolver, opt sparse.CGOptions) (int, error) {
 	var trace *obs.CGTrace
 	if m.obs.Enabled() {
 		trace = m.obs.StartCG()
 		opt.OnIteration = trace.Observe
 	}
-	var iters int
-	var err error
-	switch {
-	case m.precond == precondSSOR && opt.Precond == nil:
-		iters, err = sparse.SolveCGSSOR(ctx, a, m.temps, m.power, opt)
-	case cg != nil:
-		iters, err = cg.SolveContext(ctx, m.temps, m.power, opt)
-	default:
-		iters, err = sparse.SolveCGContext(ctx, a, m.temps, m.power, opt)
-	}
+	iters, err := cg.SolveContext(ctx, m.temps, m.power, opt)
 	m.obs.EndCG(trace, iters, err == nil)
 	return iters, err
 }
@@ -77,10 +68,10 @@ func recoverable(ctx context.Context, err error) bool {
 // attempt failed to converge. It escalates through bounded rungs:
 //
 //  1. Cold restart: discard the (possibly misleading) warm state and retry
-//     the same solve — same preconditioner, Jacobi by default — from the
-//     uniform guess.
-//  2. Preconditioner fallback: retry with the stronger SSOR-preconditioned
-//     CG variant, again from a cold start.
+//     the same solve — the model's own preconditioner — from the uniform
+//     guess.
+//  2. Preconditioner fallback: retry with the stronger SSOR preconditioner,
+//     again from a cold start.
 //  3. Relaxed tolerance: one last SSOR attempt at relaxedTolFactor× the
 //     configured tolerance; success is flagged Degraded on the result.
 //
@@ -98,7 +89,7 @@ func (m *Model) recoverSolve(ctx context.Context, a *sparse.CSR, cg *sparse.CGSo
 		m.ctr.CGRetries++
 	}
 	m.obs.Add("cg_retries", 1)
-	iters, err := m.runCG(ctx, a, cg, opt)
+	iters, err := m.runCG(ctx, cg, opt)
 	sp.End()
 	if err == nil {
 		return rec, iters, nil
@@ -115,7 +106,9 @@ func (m *Model) recoverSolve(ctx context.Context, a *sparse.CSR, cg *sparse.CGSo
 		m.ctr.CGFallbackPrecond++
 	}
 	m.obs.Add("cg_fallback_precond", 1)
-	iters, err = sparse.SolveCGSSOR(ctx, a, m.temps, m.power, opt)
+	fallback := opt
+	fallback.Precond = m.ssorFor(a)
+	iters, err = m.runCG(ctx, cg, fallback)
 	sp.End()
 	if err == nil {
 		return rec, iters, nil
@@ -127,10 +120,10 @@ func (m *Model) recoverSolve(ctx context.Context, a *sparse.CSR, cg *sparse.CGSo
 	// Rung 3: relaxed tolerance, last resort.
 	sp = m.obs.StartSpanCtx(ctx, obs.PhaseThermalSolve, "recover:relaxed_tol")
 	m.coldGuess()
-	relaxed := opt
+	relaxed := fallback
 	relaxed.Tol = opt.Tol * relaxedTolFactor
 	rec.RelaxedTol = relaxed.Tol
-	iters, err = sparse.SolveCGSSOR(ctx, a, m.temps, m.power, relaxed)
+	iters, err = m.runCG(ctx, cg, relaxed)
 	sp.End()
 	if err == nil {
 		rec.Degraded = true

@@ -7,6 +7,7 @@ import (
 
 	"tap25d/internal/faultinject"
 	"tap25d/internal/metrics"
+	"tap25d/internal/obs"
 	"tap25d/internal/sparse"
 )
 
@@ -91,12 +92,18 @@ func TestRecoverySSORFallback(t *testing.T) {
 }
 
 // TestRecoveryRelaxedTolLastResort: three consecutive failures reach the
-// relaxed-tolerance rung and the result is flagged degraded.
+// relaxed-tolerance rung and the result is flagged degraded. Every attempt —
+// the initial solve and each rung, SSOR rungs included — records one CG
+// trace.
 func TestRecoveryRelaxedTolLastResort(t *testing.T) {
 	inj := faultinject.New(1)
 	inj.Arm(faultinject.PointCGSolve, faultinject.Spec{Every: 1, Count: 3})
 	var ctr metrics.Counters
-	m := recoveryModel(t, inj, &ctr, false)
+	o := obs.New()
+	m, err := NewModel(45, 45, Options{Grid: 16, Inject: inj, Counters: &ctr, Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, err := m.Solve([]Source{centeredSource(100)})
 	if err != nil {
 		t.Fatalf("relaxed-tolerance rung did not rescue the solve: %v", err)
@@ -114,6 +121,20 @@ func TestRecoveryRelaxedTolLastResort(t *testing.T) {
 	// Even degraded, the field must be physically sane.
 	if got.PeakC <= m.AmbientC() || got.PeakC > 500 {
 		t.Errorf("degraded peak %v implausible", got.PeakC)
+	}
+	traces := o.RecentCGTraces()
+	if len(traces) != 4 {
+		t.Fatalf("%d CG traces, want 4 (initial attempt + 3 rungs)", len(traces))
+	}
+	for i, tr := range traces[:3] {
+		if tr.Converged {
+			t.Errorf("trace %d converged, want the injected failure", i)
+		}
+	}
+	last := traces[3]
+	if !last.Converged || last.Iterations != got.Iterations || len(last.Residuals) != got.Iterations+1 {
+		t.Errorf("relaxed SSOR rung trace = {converged %v, %d iterations, %d residuals}, want converged with %d iterations",
+			last.Converged, last.Iterations, len(last.Residuals), got.Iterations)
 	}
 }
 

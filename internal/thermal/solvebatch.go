@@ -15,7 +15,7 @@ import (
 // or incremental delta, exactly as a plain Solve would) and one
 // preconditioner setup — for the multigrid preconditioner that means one
 // hierarchy coarsening amortized over all B solves — and the right-hand
-// sides are solved together by sparse.SolveCGBatch's blocked sweep.
+// sides are solved together by sparse.CGSolver.SolveBatch's blocked sweep.
 //
 // Semantics differ from a Solve sequence in three documented ways:
 //
@@ -48,7 +48,7 @@ func (m *Model) SolveBatch(ctx context.Context, specs [][]Source) ([]*Result, er
 
 	sp := m.obs.StartSpanCtx(ctx, obs.PhaseThermalSolve, "batch")
 	defer sp.End()
-	a, _, err := m.prepareAssembled(sp, base)
+	a, cg, err := m.prepareAssembled(sp, base)
 	if err != nil {
 		return nil, err
 	}
@@ -67,42 +67,15 @@ func (m *Model) SolveBatch(ctx context.Context, specs [][]Source) ([]*Result, er
 		}
 	}
 
-	opt := sparse.CGOptions{Tol: m.tol, MaxIter: m.maxIter, Inject: m.inject}
-	var iters []int
-	switch m.precond {
-	case precondSSOR:
-		// SolveCGBatch has no SSOR path; sequential per-column solves still
-		// amortize the assembly, which is the batch's main win here.
-		iters = make([]int, nrhs)
-		for c := range specs {
-			it, err := sparse.SolveCGSSOR(ctx, a, xs[c], bs[c], opt)
-			iters[c] = it
-			if err != nil {
-				return nil, fmt.Errorf("thermal: batch column %d: %w", c, err)
-			}
-		}
-	case precondMG:
-		mg, err := m.ensureMG(a)
-		if err != nil {
-			return nil, fmt.Errorf("thermal: %w", err)
-		}
-		opt.Precond = mg
-		cycles0 := mg.Cycles()
-		iters, err = sparse.SolveCGBatch(ctx, a, xs, bs, opt)
-		if d := mg.Cycles() - cycles0; d > 0 {
-			if m.ctr != nil {
-				m.ctr.MGCycles += d
-			}
-			m.obs.Add("mg_cycles", d)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("thermal: %w", err)
-		}
-	default:
-		iters, err = sparse.SolveCGBatch(ctx, a, xs, bs, opt)
-		if err != nil {
-			return nil, fmt.Errorf("thermal: %w", err)
-		}
+	pre, err := m.preconditioner(a)
+	if err != nil {
+		return nil, fmt.Errorf("thermal: %w", err)
+	}
+	cycles0 := m.mgCycles()
+	iters, err := cg.SolveBatch(ctx, xs, bs, sparse.CGOptions{Tol: m.tol, MaxIter: m.maxIter, Precond: pre, Inject: m.inject})
+	m.addMGCycles(cycles0)
+	if err != nil {
+		return nil, fmt.Errorf("thermal: %w", err)
 	}
 
 	results := make([]*Result, nrhs)

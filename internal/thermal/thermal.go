@@ -10,8 +10,10 @@
 //
 // Temperatures are solved as rises over the ambient (45 °C by default); the
 // linear system G·T = P is symmetric positive definite and is solved with
-// Jacobi-preconditioned conjugate gradients, warm-started from the previous
-// solve so that consecutive simulated-annealing steps converge quickly.
+// preconditioned conjugate gradients (Jacobi at the paper's 64 grid,
+// multigrid at fine grids; see Options.Precond), warm-started from the
+// previous solve so that consecutive simulated-annealing steps converge
+// quickly.
 package thermal
 
 import (
@@ -58,8 +60,8 @@ type Options struct {
 	//	"auto"   (or "") — Jacobi below grid 96, geometric multigrid at or
 	//	         above it. The Jacobi choice for the default 64 grid keeps the
 	//	         historical solve path byte for byte.
-	//	"jacobi" — the diagonal preconditioner fused into the CG loop; cheap
-	//	         per iteration, iteration count grows ~linearly with grid.
+	//	"jacobi" — the diagonal preconditioner; cheap per iteration,
+	//	         iteration count grows ~linearly with grid.
 	//	"ssor"   — symmetric SOR; ~2× fewer iterations than Jacobi at ~2× the
 	//	         per-iteration cost (the recovery ladder's fallback rung).
 	//	"mg"     — a geometric multigrid V-cycle on the layered grid;
@@ -161,8 +163,12 @@ type Model struct {
 	// healthy baseline, and mgStale forces a refresh ahead of any value
 	// change when a solve degrades far past that baseline (or needed the
 	// recovery ladder) — a backstop for drift the generation counter cannot
-	// see, such as fault injection.
+	// see, such as fault injection. The SSOR preconditioner (also the
+	// recovery ladder's fallback) reads its matrix's values live, so it is
+	// rebuilt only when the matrix identity ssorA changes.
 	precond     string
+	ssor        *sparse.SSOR
+	ssorA       *sparse.CSR
 	mg          *sparse.Multigrid
 	mgA         *sparse.CSR
 	valGen      int64
@@ -496,7 +502,7 @@ func (m *Model) prepareAssembled(sp *obs.Span, sources []Source) (*sparse.CSR, *
 		if err != nil {
 			return nil, nil, err
 		}
-		return a, nil, nil
+		return a, sparse.NewCGSolver(a), nil
 	}
 
 	if m.fixed == nil {
@@ -533,6 +539,50 @@ func (m *Model) prepareAssembled(sp *obs.Span, sources []Source) (*sparse.CSR, *
 	}
 	m.prevSources = append(m.prevSources[:0], sources...)
 	return m.fixed.Mat, m.cg, nil
+}
+
+// preconditioner returns the model's resolved preconditioner for the
+// assembled matrix a: nil (Jacobi, built into the CG solver), the SSOR bound
+// to a, or the multigrid hierarchy brought up to date by ensureMG.
+func (m *Model) preconditioner(a *sparse.CSR) (sparse.Preconditioner, error) {
+	switch m.precond {
+	case precondSSOR:
+		return m.ssorFor(a), nil
+	case precondMG:
+		mg, err := m.ensureMG(a)
+		if err != nil {
+			return nil, err
+		}
+		return mg, nil
+	}
+	return nil, nil
+}
+
+// ssorFor returns the SSOR preconditioner bound to a, building it when the
+// matrix identity changed.
+func (m *Model) ssorFor(a *sparse.CSR) *sparse.SSOR {
+	if m.ssor == nil || m.ssorA != a {
+		m.ssor, m.ssorA = sparse.NewSSOR(a), a
+	}
+	return m.ssor
+}
+
+// mgCycles returns the V-cycles the model's hierarchy has run, 0 without one.
+func (m *Model) mgCycles() int64 {
+	if m.mg == nil {
+		return 0
+	}
+	return m.mg.Cycles()
+}
+
+// addMGCycles credits the V-cycles run since the count since to the counters.
+func (m *Model) addMGCycles(since int64) {
+	if d := m.mgCycles() - since; d > 0 {
+		if m.ctr != nil {
+			m.ctr.MGCycles += d
+		}
+		m.obs.Add("mg_cycles", d)
+	}
 }
 
 // ensureMG returns the multigrid hierarchy for the assembled matrix a,
@@ -616,36 +666,26 @@ func (m *Model) RestoreWarmState(temps []float64) error {
 	return nil
 }
 
-// solveAssembled runs CG on the assembled system and extracts the result.
-// When cg is non-nil its scratch buffers are reused; otherwise a one-shot
-// solve runs on a (bit-identical, just slower to set up).
+// solveAssembled runs CG with cg, the solver bound to the assembled matrix
+// a, and extracts the result.
 func (m *Model) solveAssembled(ctx context.Context, a *sparse.CSR, cg *sparse.CGSolver) (*Result, error) {
 	if !m.warm {
 		m.coldGuess()
 	}
-	opt := sparse.CGOptions{Tol: m.tol, MaxIter: m.maxIter, Inject: m.inject}
-	var mgCycles0 int64
-	if m.precond == precondMG {
-		mg, err := m.ensureMG(a)
-		if err != nil {
-			m.warm = false
-			return nil, fmt.Errorf("thermal: %w", err)
-		}
-		opt.Precond = mg
-		mgCycles0 = mg.Cycles()
+	pre, err := m.preconditioner(a)
+	if err != nil {
+		m.warm = false
+		return nil, fmt.Errorf("thermal: %w", err)
 	}
-	iters, err := m.runCG(ctx, a, cg, opt)
+	opt := sparse.CGOptions{Tol: m.tol, MaxIter: m.maxIter, Precond: pre, Inject: m.inject}
+	mgCycles0 := m.mgCycles()
+	iters, err := m.runCG(ctx, cg, opt)
 	var rec *RecoveryInfo
 	if err != nil && recoverable(ctx, err) && !m.noRecover {
 		rec, iters, err = m.recoverSolve(ctx, a, cg, opt)
 	}
+	m.addMGCycles(mgCycles0)
 	if m.precond == precondMG {
-		if d := m.mg.Cycles() - mgCycles0; d > 0 {
-			if m.ctr != nil {
-				m.ctr.MGCycles += d
-			}
-			m.obs.Add("mg_cycles", d)
-		}
 		switch {
 		case err != nil || rec != nil:
 			// A failed or ladder-rescued solve means the hierarchy is not

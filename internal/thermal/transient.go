@@ -55,12 +55,13 @@ func (m *Model) SolveTransient(sources []Source, dt float64, nsteps int) (*Trans
 	g := m.grid
 	t := make([]float64, m.nNodes) // rise over ambient, starts at 0
 	rhs := make([]float64, m.nNodes)
+	cg := sparse.NewCGSolver(a)
 	out := &Transient{}
 	for step := 1; step <= nsteps; step++ {
 		for i := range rhs {
 			rhs[i] = m.power[i] + coverDt[i]*t[i]
 		}
-		if _, err := sparse.SolveCG(a, t, rhs, sparse.CGOptions{Tol: m.tol, MaxIter: m.maxIter}); err != nil {
+		if _, err := cg.Solve(t, rhs, sparse.CGOptions{Tol: m.tol, MaxIter: m.maxIter}); err != nil {
 			return nil, fmt.Errorf("thermal: transient step %d: %w", step, err)
 		}
 		peak := math.Inf(-1)
