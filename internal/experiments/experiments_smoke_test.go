@@ -87,7 +87,7 @@ func TestE9RunsEndToEnd(t *testing.T) {
 
 func TestE10RunsEndToEnd(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs a placement flow plus TDP bisections")
+		t.Skip("runs a placement flow plus TDP envelopes")
 	}
 	rep, err := Run("E10", tinyConfig())
 	if err != nil {

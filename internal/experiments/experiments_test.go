@@ -105,7 +105,7 @@ func TestE1RunsEndToEnd(t *testing.T) {
 
 func TestE4ReportsEnvelopes(t *testing.T) {
 	if testing.Short() {
-		t.Skip("E4 runs a placement flow plus two bisections")
+		t.Skip("E4 runs a placement flow plus two TDP envelopes")
 	}
 	rep, err := Run("E4", tinyConfig())
 	if err != nil {

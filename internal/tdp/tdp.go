@@ -1,27 +1,30 @@
 // Package tdp implements the thermal design power analysis of Section IV-B:
-// given a placement, find the TDP envelope — the maximum total chiplet power
-// that keeps the peak temperature at or below the critical threshold — by
-// scaling a designated subset of chiplets' power (the paper varies the CPUs'
-// power of the CPU-DRAM system) and bisecting on the thermal model.
+// the TDP envelope of a placement is the maximum total chiplet power that
+// keeps the peak temperature at or below the critical threshold as a
+// designated subset of chiplets' power is scaled (the paper varies the
+// CPU-DRAM system's CPUs). The model is linear in power, so the envelope
+// follows in closed form by superposing the fixed and the varied chiplets'
+// fields, both from one thermal.Model.SolveBatch. That skips the solver
+// recovery ladder: a column that does not converge fails the envelope loudly.
 package tdp
 
 import (
+	"context"
 	"fmt"
+	"math"
 
 	"tap25d/internal/chiplet"
 	"tap25d/internal/thermal"
 )
 
-// Options configures the envelope search.
+// Options configures the envelope computation.
 type Options struct {
 	// CriticalC is the temperature constraint (default 85, as in the paper).
 	CriticalC float64
 	// VaryIndices are the chiplets whose power is scaled; nil scales all.
 	VaryIndices []int
-	// MaxScale bounds the search (default 16x nominal).
+	// MaxScale caps the varied chiplets' power scale (default 16x nominal).
 	MaxScale float64
-	// TolW is the envelope resolution in watts (default 1).
-	TolW float64
 }
 
 // Result reports a TDP envelope.
@@ -30,17 +33,25 @@ type Result struct {
 	EnvelopeW float64
 	// Scale is the applied factor on the varied chiplets at the envelope.
 	Scale float64
-	// PeakC is the peak temperature at the envelope.
+	// PeakC is the peak at the envelope, or the fixed chiplets' own if infeasible.
 	PeakC float64
-	// Feasible is false when even (near-)zero varied power exceeds the
-	// constraint (the fixed chiplets alone overheat).
+	// Feasible is false when even zero varied power exceeds the constraint
+	// (the fixed chiplets alone overheat).
 	Feasible bool
 }
 
-// Envelope bisects the power scale of the varied chiplets until the peak
-// temperature equals opt.CriticalC, and returns the corresponding total
-// power. The model must match the system's interposer.
+// Envelope is EnvelopeContext without cancellation.
 func Envelope(sys *chiplet.System, p chiplet.Placement, model *thermal.Model, opt Options) (*Result, error) {
+	return EnvelopeContext(context.Background(), sys, p, model, opt)
+}
+
+// EnvelopeContext returns the largest power scale of the varied chiplets, up
+// to opt.MaxScale, that keeps the peak at or below opt.CriticalC — the
+// smallest, over cells the varied chiplets heat, of the headroom the fixed
+// chiplets leave over the varied chiplets' rise — and the total power at it.
+// It fails with ctx's error once ctx is done. The model must match the
+// system's interposer.
+func EnvelopeContext(ctx context.Context, sys *chiplet.System, p chiplet.Placement, model *thermal.Model, opt Options) (*Result, error) {
 	if err := sys.CheckPlacement(p); err != nil {
 		return nil, fmt.Errorf("tdp: %w", err)
 	}
@@ -52,10 +63,6 @@ func Envelope(sys *chiplet.System, p chiplet.Placement, model *thermal.Model, op
 	if maxScale == 0 {
 		maxScale = 16
 	}
-	tolW := opt.TolW
-	if tolW == 0 {
-		tolW = 1
-	}
 	vary := opt.VaryIndices
 	if vary == nil {
 		vary = make([]int, len(sys.Chiplets))
@@ -63,74 +70,65 @@ func Envelope(sys *chiplet.System, p chiplet.Placement, model *thermal.Model, op
 			vary[i] = i
 		}
 	}
-	var variedW float64
+	varied := make([]bool, len(sys.Chiplets))
 	for _, i := range vary {
 		if i < 0 || i >= len(sys.Chiplets) {
 			return nil, fmt.Errorf("tdp: vary index %d out of range", i)
 		}
-		variedW += sys.Chiplets[i].Power
+		varied[i] = true
+	}
+	// Both lists keep every footprint, so both columns share one matrix.
+	varySrcs := make([]thermal.Source, len(sys.Chiplets))
+	fixedSrcs := make([]thermal.Source, len(sys.Chiplets))
+	var variedW, fixedW float64
+	for i, c := range sys.Chiplets {
+		varySrcs[i].Rect = p.Rect(sys, i)
+		fixedSrcs[i].Rect = varySrcs[i].Rect
+		if varied[i] {
+			varySrcs[i].Power, variedW = c.Power, variedW+c.Power
+		} else {
+			fixedSrcs[i].Power, fixedW = c.Power, fixedW+c.Power
+		}
 	}
 	if variedW <= 0 {
 		return nil, fmt.Errorf("tdp: varied chiplets have zero nominal power; nothing to scale")
 	}
-
-	peakAt := func(scale float64) (float64, error) {
-		scaled := sys.ScaledSubset(scale, vary)
-		srcs := make([]thermal.Source, len(scaled.Chiplets))
-		for i := range scaled.Chiplets {
-			srcs[i] = thermal.Source{Rect: p.Rect(scaled, i), Power: scaled.Chiplets[i].Power}
-		}
-		res, err := model.Solve(srcs)
-		if err != nil {
-			return 0, err
-		}
-		return res.PeakC, nil
+	specs := [][]thermal.Source{varySrcs}
+	if fixedW > 0 {
+		specs = append(specs, fixedSrcs)
 	}
-
-	// Infeasible even with the varied chiplets nearly off?
-	tLow, err := peakAt(1e-6)
+	res, err := model.SolveBatch(ctx, specs)
 	if err != nil {
 		return nil, fmt.Errorf("tdp: %w", err)
 	}
-	if tLow > crit {
-		return &Result{Feasible: false, PeakC: tLow, EnvelopeW: 0, Scale: 0}, nil
-	}
 
-	lo, hi := 1e-6, maxScale
-	tHi, err := peakAt(hi)
-	if err != nil {
-		return nil, fmt.Errorf("tdp: %w", err)
-	}
-	if tHi <= crit {
-		// Constraint never binds within the search bound.
-		return &Result{
-			Feasible:  true,
-			Scale:     hi,
-			PeakC:     tHi,
-			EnvelopeW: sys.ScaledSubset(hi, vary).TotalPower(),
-		}, nil
-	}
-	// Bisection on scale until the envelope power resolves within tolW.
-	for sys.ScaledSubset(hi, vary).TotalPower()-sys.ScaledSubset(lo, vary).TotalPower() > tolW {
-		mid := (lo + hi) / 2
-		t, err := peakAt(mid)
-		if err != nil {
-			return nil, fmt.Errorf("tdp: %w", err)
+	// On the chiplet layer, which PeakC ranges over, the rise over ambient
+	// at scale s is rf + s·rv.
+	ambient := model.AmbientC()
+	rf := make([]float64, len(res[0].ChipTempC))
+	fixedPeak := ambient
+	if len(res) > 1 {
+		for k, t := range res[1].ChipTempC {
+			rf[k] = t - ambient
 		}
-		if t <= crit {
-			lo = mid
-		} else {
-			hi = mid
+		fixedPeak = res[1].PeakC
+	}
+	if fixedPeak > crit {
+		return &Result{Feasible: false, PeakC: fixedPeak}, nil
+	}
+	scale, peak := maxScale, math.Inf(-1)
+	for k, t := range res[0].ChipTempC {
+		if rv := t - ambient; rv > 0 {
+			scale = min(scale, (crit-ambient-rf[k])/rv)
 		}
 	}
-	tFinal, err := peakAt(lo)
-	if err != nil {
-		return nil, fmt.Errorf("tdp: %w", err)
+	for k, t := range res[0].ChipTempC {
+		peak = max(peak, ambient+rf[k]+scale*(t-ambient))
 	}
 	return &Result{
 		Feasible:  true,
-		Scale:     lo,
-		PeakC:     tFinal,
-		EnvelopeW: sys.ScaledSubset(lo, vary).TotalPower(),
+		Scale:     scale,
+		PeakC:     peak,
+		EnvelopeW: sys.ScaledSubset(scale, vary).TotalPower(),
 	}, nil
 }

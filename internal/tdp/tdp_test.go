@@ -1,6 +1,10 @@
 package tdp
 
 import (
+	"context"
+	"errors"
+	"math"
+	"runtime"
 	"testing"
 
 	"tap25d/internal/chiplet"
@@ -29,11 +33,53 @@ func tdpSystem() (*chiplet.System, chiplet.Placement) {
 
 func model(t testing.TB) *thermal.Model {
 	t.Helper()
-	m, err := thermal.NewModel(45, 45, thermal.Options{Grid: 24})
+	return modelAt(t, 24)
+}
+
+func modelAt(t testing.TB, grid int) *thermal.Model {
+	t.Helper()
+	m, err := thermal.NewModel(45, 45, thermal.Options{Grid: grid})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// peakAt solves sys with the chiplets in vary scaled by scale and returns
+// the peak temperature.
+func peakAt(t testing.TB, m *thermal.Model, sys *chiplet.System, p chiplet.Placement, vary []int, scale float64) float64 {
+	t.Helper()
+	scaled := sys.ScaledSubset(scale, vary)
+	srcs := make([]thermal.Source, len(scaled.Chiplets))
+	for i := range scaled.Chiplets {
+		srcs[i] = thermal.Source{Rect: p.Rect(scaled, i), Power: scaled.Chiplets[i].Power}
+	}
+	res, err := m.Solve(srcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.PeakC
+}
+
+// bisectEnvelope is the envelope search the closed form replaced, kept as a
+// reference: it bisects the varied chiplets' power scale on direct solves
+// until the envelope power resolves within 1 W, and returns that power.
+func bisectEnvelope(t testing.TB, m *thermal.Model, sys *chiplet.System, p chiplet.Placement, vary []int) float64 {
+	t.Helper()
+	const crit, tolW = 85, 1
+	lo, hi := 1e-6, 16.0
+	if peakAt(t, m, sys, p, vary, lo) > crit || peakAt(t, m, sys, p, vary, hi) <= crit {
+		t.Fatal("reference bisection needs a constraint that binds inside (0, 16]")
+	}
+	for sys.ScaledSubset(hi, vary).TotalPower()-sys.ScaledSubset(lo, vary).TotalPower() > tolW {
+		mid := (lo + hi) / 2
+		if peakAt(t, m, sys, p, vary, mid) <= crit {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return sys.ScaledSubset(lo, vary).TotalPower()
 }
 
 func TestEnvelopeBasic(t *testing.T) {
@@ -137,5 +183,90 @@ func TestEnvelopeErrors(t *testing.T) {
 	bad.Centers[1] = bad.Centers[0]
 	if _, err := Envelope(sys, bad, m, Options{}); err == nil {
 		t.Error("invalid placement accepted")
+	}
+}
+
+// TestEnvelopeMatchesBisection: the closed form lands within the replaced
+// bisection's 1 W resolution of its answer.
+func TestEnvelopeMatchesBisection(t *testing.T) {
+	sys, p := tdpSystem()
+	for _, vary := range [][]int{{0, 1}, {0, 1, 2}} {
+		res, err := Envelope(sys, p, model(t), Options{VaryIndices: vary})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bisectEnvelope(t, model(t), sys, p, vary)
+		if math.Abs(res.EnvelopeW-want) > 1 {
+			t.Errorf("vary %v: envelope %v W, bisection %v W", vary, res.EnvelopeW, want)
+		}
+	}
+}
+
+// TestEnvelopeBracketsCritical: direct solves 0.1% below and above the
+// envelope's scale straddle the critical temperature, and the superposed
+// peak is the critical temperature itself.
+func TestEnvelopeBracketsCritical(t *testing.T) {
+	sys, p := tdpSystem()
+	for _, vary := range [][]int{{0, 1}, {0, 1, 2}} {
+		m := model(t)
+		res, err := Envelope(sys, p, m, Options{VaryIndices: vary})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(res.PeakC-85) > 1e-9 {
+			t.Errorf("vary %v: superposed peak %v, want 85", vary, res.PeakC)
+		}
+		if below := peakAt(t, m, sys, p, vary, res.Scale*(1-1e-3)); below > 85 {
+			t.Errorf("vary %v: peak %v C just below the envelope exceeds 85", vary, below)
+		}
+		if above := peakAt(t, m, sys, p, vary, res.Scale*(1+1e-3)); above <= 85 {
+			t.Errorf("vary %v: peak %v C just above the envelope is still feasible", vary, above)
+		}
+	}
+}
+
+// TestEnvelopeInfeasiblePeakIsFixedPeak: an infeasible envelope reports the
+// fixed chiplets' own peak, as a direct solve with the varied power off.
+func TestEnvelopeInfeasiblePeakIsFixedPeak(t *testing.T) {
+	sys, p := tdpSystem()
+	sys.Chiplets[2].Power = 2000
+	res, err := Envelope(sys, p, model(t), Options{VaryIndices: []int{0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := peakAt(t, model(t), sys, p, []int{0, 1}, 0)
+	if res.Feasible || res.PeakC != want {
+		t.Errorf("got %+v, want infeasible at the fixed peak %v C", res, want)
+	}
+}
+
+// TestEnvelopeCanceled: a canceled context aborts the batched solve.
+func TestEnvelopeCanceled(t *testing.T) {
+	sys, p := tdpSystem()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := EnvelopeContext(ctx, sys, p, model(t), Options{VaryIndices: []int{0, 1}})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("EnvelopeContext error = %v, want context.Canceled", err)
+	}
+}
+
+// TestEnvelopeSameUnderBothBatchEngines: on one core the batched solve runs
+// its columns one at a time; on several, at grid 48 (18,432 rows, above
+// sparse.ParallelThresholdRows) it sweeps them together. Both engines must
+// give the same Result, bit for bit.
+func TestEnvelopeSameUnderBothBatchEngines(t *testing.T) {
+	sys, p := tdpSystem()
+	envelopeOn := func(procs int) Result {
+		old := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(old)
+		res, err := Envelope(sys, p, modelAt(t, 48), Options{VaryIndices: []int{0, 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return *res
+	}
+	if seq, blocked := envelopeOn(1), envelopeOn(4); seq != blocked {
+		t.Errorf("sequential engine %+v, blocked engine %+v", seq, blocked)
 	}
 }

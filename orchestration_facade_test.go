@@ -67,3 +67,18 @@ func TestFacadeCheckpointResumeBitCompatible(t *testing.T) {
 		t.Errorf("resumed placement differs from uninterrupted placement:\n got %+v\nwant %+v", got.Placement, want.Placement)
 	}
 }
+
+// TestTDPEnvelopeHonorsContext: a canceled Options.Context aborts the
+// envelope's thermal solve with an error wrapping context.Canceled.
+func TestTDPEnvelopeHonorsContext(t *testing.T) {
+	sys, err := BuiltinSystem("cpudram")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = TDPEnvelope(sys, CPUDRAMOriginalPlacement(), CPUDRAMCPUIndices(), Options{ThermalGrid: 16, Context: ctx})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("TDPEnvelope error = %v, want context.Canceled", err)
+	}
+}

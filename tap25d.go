@@ -319,6 +319,7 @@ type Options struct {
 	// cancellation Place stops the annealing runs cleanly, finalizes the
 	// best solution found so far, and returns that Result together with
 	// the context's error (check errors.Is(err, context.Canceled)).
+	// EvaluateScenarios and TDPEnvelope abort with the context's error.
 	Context context.Context
 	// Progress, when non-nil, receives structured run events: one "step"
 	// event every ProgressEvery completed steps per run, plus lifecycle
@@ -601,13 +602,15 @@ func InterposerCostRatio(aW, aH, bW, bH float64) float64 {
 // TDPEnvelope finds the maximum total power (W) of sys under placement p
 // that keeps the peak temperature at or below the critical threshold,
 // scaling the chiplets in vary (nil scales all). This is the paper's
-// Section IV-B analysis.
+// Section IV-B analysis. The model is linear in power, so the envelope comes
+// in closed form from one batched solve of the fixed and the varied
+// chiplets' fields, superposed; honor Options.Context for cancellation.
 func TDPEnvelope(sys *System, p Placement, vary []int, opt Options) (*TDPResult, error) {
 	model, err := thermal.NewModel(sys.InterposerW, sys.InterposerH, opt.thermalOptions(sys))
 	if err != nil {
 		return nil, err
 	}
-	return tdp.Envelope(sys, p, model, tdp.Options{
+	return tdp.EnvelopeContext(opt.context(), sys, p, model, tdp.Options{
 		CriticalC:   opt.critical(),
 		VaryIndices: vary,
 	})
